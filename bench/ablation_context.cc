@@ -26,8 +26,9 @@ main()
     table.addRow({"workload", "history", "L2", "prop %",
                   "ctx-term %"});
 
-    // All 12 sweep cells share one capture per workload; the engine
-    // simulates gcc and compress once each and replays 6 configs.
+    // All 12 sweep cells share one profile per workload; the engine
+    // profiles gcc and compress once each and fuses 6 configs into
+    // one pass over each stream.
     struct Cell
     {
         const char *name;

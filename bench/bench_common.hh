@@ -5,11 +5,11 @@
  * Each binary regenerates one of the paper's tables or figures. All
  * cells route through the shared ExperimentEngine: the (workload,
  * predictor) matrix fans out across PPM_THREADS workers, each
- * workload is assembled and simulated once per (input, budget), and
- * predictor configs replay the captured trace instead of re-running
- * the simulator. Every binary prints a stage-timing summary to
+ * workload is assembled and profiled once per (input, budget), and
+ * the predictor configs sharing that key run as lanes of one
+ * re-simulation. Every binary prints a stage-timing summary to
  * stderr and, when PPM_BENCH_JSON=<path> is set, writes the
- * machine-readable "ppm-bench-timing-v1" report at exit.
+ * machine-readable "ppm-bench-timing-v2" report at exit.
  *
  * PPM_QUICK=1 in the environment runs shortened workloads for fast
  * iteration; the default reproduces the full configuration.

@@ -73,7 +73,7 @@ foreach(i RANGE ${last})
     string(JSON sec GET "${doc}" scenarios ${i} best_sec)
     string(JSON ips GET "${doc}" scenarios ${i} instrs_per_sec)
     # "mode" arrived with v2; old records without it are per-cell
-    # replay rows.
+    # rows (mode "replay").
     string(JSON mode ERROR_VARIABLE mode_err
            GET "${doc}" scenarios ${i} mode)
     if(mode_err)

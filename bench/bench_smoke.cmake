@@ -1,7 +1,7 @@
 # bench_smoke: run one figure binary through the parallel experiment
 # engine (quick mode, 2 threads) and validate the emitted
-# "ppm-bench-timing-v1" stage-timing JSON, so the engine's capture/
-# replay + caching path is exercised in tier-1. Invoked by ctest as
+# "ppm-bench-timing-v2" stage-timing JSON, so the engine's profile
+# caching and fused-pass path is exercised in tier-1. Invoked by ctest as
 #   cmake -DBENCH_BIN=<fig5_overall> -DOUT=<json path> -P bench_smoke.cmake
 
 if(NOT BENCH_BIN OR NOT OUT)
@@ -29,7 +29,7 @@ file(READ "${OUT}" doc)
 # string(JSON) fatal-errors on malformed JSON or missing keys, so each
 # GET below is itself a schema assertion.
 string(JSON schema GET "${doc}" schema)
-if(NOT schema STREQUAL "ppm-bench-timing-v1")
+if(NOT schema STREQUAL "ppm-bench-timing-v2")
     message(FATAL_ERROR "bench_smoke: bad schema '${schema}'")
 endif()
 
@@ -61,7 +61,7 @@ if(NOT nruns EQUAL 36)
     message(FATAL_ERROR "bench_smoke: expected 36 runs, got ${nruns}")
 endif()
 
-# Run caching: 3 predictor configs per workload share one capture.
+# Run caching: 3 predictor configs per workload share one profile.
 string(JSON sims GET "${doc}" totals simulations)
 if(NOT sims EQUAL 12)
     message(FATAL_ERROR
@@ -69,17 +69,9 @@ if(NOT sims EQUAL 12)
             "(capture sharing broken)")
 endif()
 
-# Capture/replay with fused sweeps: quick-mode traces fit the cap and
-# the 3 predictor cells per workload coalesce into one lane group, so
-# there is exactly one replay *pass* per workload.
-string(JSON replays GET "${doc}" totals replays)
-if(NOT replays EQUAL 12)
-    message(FATAL_ERROR
-            "bench_smoke: expected 12 replay passes, got ${replays}")
-endif()
-
 # shared_stages: per-group costs reported apart from per-lane analyze
-# time (no double counting across lanes).
+# time (no double counting across lanes). The 3 predictor cells per
+# workload coalesce into one lane group: one stream pass per workload.
 string(JSON fgroups GET "${doc}" shared_stages fused_groups)
 string(JSON flanes GET "${doc}" shared_stages fused_lanes)
 string(JSON dispatch GET "${doc}" shared_stages dispatch_s)
@@ -116,5 +108,5 @@ endif()
 
 message(STATUS
         "bench_smoke ok: ${nruns} runs, ${sims} simulations, "
-        "${replays} replays, wall ${wall}s "
+        "${fgroups} fused passes, wall ${wall}s "
         "(first cell: ${row0_workload}/${row0_predictor})")

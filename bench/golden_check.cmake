@@ -9,7 +9,7 @@
 # Goldens are regenerated with tools/update_goldens; see TESTING.md.
 # The model is integer-exact and the engine returns results in
 # submission order, so the bytes are stable across thread counts,
-# replay modes, and machines.
+# engine paths, and machines.
 
 if(NOT BENCH_BIN OR NOT GOLDEN_DIR OR NOT WORK_DIR OR NOT EXPECT)
     message(FATAL_ERROR

@@ -3,27 +3,30 @@
  * Analyzer-core hot-path microbenchmark.
  *
  * Measures raw model throughput (dynamic instructions per second
- * through DpgAnalyzer::onInstr / onBlock) with the simulator taken out
- * of the loop: each scenario captures one in-memory trace, then replays
- * it through fresh analyzer instances and reports the best repetition.
- * This isolates exactly the serving hot path the paged value table,
- * the pending-arc arena, and block dispatch optimize — compare runs
- * via the committed BENCH_hotpath.json trajectory at the repo root.
+ * through DpgAnalyzer::onBlock) with the simulator taken out of the
+ * loop: each workload's stream is simulated once and recorded as a
+ * std::vector<DynInstr> (~160 B per instruction), then fed in
+ * 256-instruction spans through fresh analyzer instances, reporting
+ * the best repetition. This isolates exactly the serving hot path the
+ * paged value table, the pending-arc arena, and block dispatch
+ * optimize — compare runs via the committed BENCH_hotpath.json
+ * trajectory at the repo root.
  *
  * Scenario modes (the "mode" field, schema ppm-hotpath-v3):
- *   "replay"           one predictor cell fed from the captured trace
+ *   "replay"           one predictor cell fed from the recorded
+ *                      stream (the name predates the recording)
  *   "sweep-sequential" the full predictor-bank sweep (every value
  *                      predictor, each lane's bank carrying gshare),
- *                      one replay pass per cell — the pre-fusion path
+ *                      one pass over the stream per cell
  *   "sweep-fused"      the same sweep through FusedAnalysisSink: one
- *                      replay pass drives every lane
+ *                      pass over the stream drives every lane
  *   "intra-serial"     one Context cell through the serial analyzer —
  *                      the A side of the within-run scaling pair
  *   "intra-pipeline"   the same cell through IntraRunPipeline
  *                      (PPM_HOTPATH_INTRA_THREADS total threads)
  *   "analyze-full"     one Context cell, simulation-fed two-pass
  *                      analysis of the whole budget — the A side of
- *                      the phase-sampling pair (no trace capture, so
+ *                      the phase-sampling pair (nothing recorded, so
  *                      it scales to 100M+ budgets)
  *   "sampled"          the same cell through the phase-sampled
  *                      scheduler (runner/sampled_run.hh); throughput
@@ -40,8 +43,9 @@
  *                       (default 4, min 2)
  *   PPM_HOTPATH_SAMPLED_ONLY
  *                       nonzero: run only the analyze-full/sampled
- *                       pair (capture-based rows need ~128 B/instr of
- *                       trace memory, unaffordable at 100M budgets)
+ *                       pair (the other rows hold the recorded
+ *                       stream, ~160 B/instr, unaffordable at 100M
+ *                       budgets)
  *   PPM_HOTPATH_SAMPLE_INTERVAL, PPM_HOTPATH_SAMPLE_WARMUP,
  *   PPM_HOTPATH_SAMPLE_PHASES
  *                       sampling geometry for the sampled rows
@@ -68,9 +72,9 @@
 #include "runner/fused_sink.hh"
 #include "runner/intra_pipeline.hh"
 #include "runner/sampled_run.hh"
-#include "runner/trace_buffer.hh"
 #include "sim/machine.hh"
 #include "sim/profiler.hh"
+#include "sim/trace.hh"
 #include "support/env.hh"
 #include "workloads/workload.hh"
 
@@ -83,6 +87,39 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/** Pass 1 plus a recording: the profile and every DynInstr, in order. */
+class RecordSink : public ppm::TraceSink
+{
+  public:
+    explicit RecordSink(const ppm::Program &prog)
+        : profile(prog.textSize())
+    {
+    }
+
+    void
+    onInstr(const ppm::DynInstr &di) override
+    {
+        profile.onInstr(di);
+        stream.push_back(di);
+    }
+
+    ppm::ExecProfile profile;
+    std::vector<ppm::DynInstr> stream;
+};
+
+/** Feed @p stream to @p sink in 256-instruction spans, then end the run. */
+void
+feed(const std::vector<ppm::DynInstr> &stream, ppm::TraceSink &sink)
+{
+    constexpr std::size_t kBlock = 256;
+    for (std::size_t at = 0; at < stream.size(); at += kBlock) {
+        const std::size_t n = std::min(kBlock, stream.size() - at);
+        sink.onBlock(
+            std::span<const ppm::DynInstr>(stream.data() + at, n));
+    }
+    sink.onRunEnd();
 }
 
 struct Scenario
@@ -149,21 +186,11 @@ main(int argc, char **argv)
         const std::vector<Value> input =
             w.makeInput(kDefaultWorkloadSeed);
 
-        // Pass 1 once per workload: profile + capture. The cap is
-        // sized to always hold the budgeted stream (~100 B/instr
-        // worst case) so the measurement never falls back to
-        // re-simulation.
-        ExecProfile profile(prog.textSize());
-        TraceCapture capture(prog, budget * 128 + (64ULL << 20));
-        TeeSink tee({&profile, &capture});
-        Machine machine(prog, input);
-        machine.run(&tee, budget);
-        auto trace = capture.take();
-        if (!trace) {
-            std::cerr << "micro_hotpath: capture overflowed for "
-                      << w.name << "\n";
-            std::exit(1);
-        }
+        // Pass 1 once per workload: profile + recording.
+        RecordSink rec(prog);
+        Machine(prog, input).run(&rec, budget);
+        const ExecProfile &profile = rec.profile;
+        const std::vector<DynInstr> &stream = rec.stream;
 
         std::vector<PredictorKind> kinds;
         if (all_kinds) {
@@ -177,7 +204,7 @@ main(int argc, char **argv)
             Scenario row;
             row.workload = w.name;
             row.predictor = predictorJsonName(kind);
-            row.dynInstrs = trace->size();
+            row.dynInstrs = stream.size();
             row.reps = static_cast<unsigned>(reps);
             row.bestSec = 1e300;
             for (std::uint64_t r = 0; r < reps; ++r) {
@@ -185,7 +212,7 @@ main(int argc, char **argv)
                 cfg.kind = kind;
                 DpgAnalyzer analyzer(prog, profile, cfg);
                 const auto t0 = Clock::now();
-                trace->replay(prog, analyzer);
+                feed(stream, analyzer);
                 const double sec = secondsSince(t0);
                 row.bestSec = std::min(row.bestSec, sec);
                 // takeStats flushes live values — part of the model's
@@ -209,8 +236,8 @@ main(int argc, char **argv)
 
         // Fused-sweep A/B: the full predictor-bank sweep (every
         // value-predictor lane, each bank carrying gshare), once with
-        // one replay pass per cell (the pre-fusion engine path) and
-        // once through FusedAnalysisSink where a single pass drives
+        // one pass over the stream per cell and once through
+        // FusedAnalysisSink where a single pass drives
         // every lane. Modes alternate within each repetition so
         // machine drift hits both equally; throughput counts total
         // analyzed instructions (stream length x lanes) so the two
@@ -220,7 +247,7 @@ main(int argc, char **argv)
             row.workload = w.name;
             row.predictor = "all";
             row.mode = mode;
-            row.dynInstrs = trace->size();
+            row.dynInstrs = stream.size();
             row.reps = static_cast<unsigned>(reps);
             row.bestSec = 1e300;
             return row;
@@ -240,7 +267,7 @@ main(int argc, char **argv)
                 }
                 const auto t0 = Clock::now();
                 for (auto &cell : cells)
-                    trace->replay(prog, *cell);
+                    feed(stream, *cell);
                 seq.bestSec =
                     std::min(seq.bestSec, secondsSince(t0));
                 for (auto &cell : cells)
@@ -255,7 +282,7 @@ main(int argc, char **argv)
                         prog, profile, cfg));
                 }
                 const auto t0 = Clock::now();
-                trace->replay(prog, sink);
+                feed(stream, sink);
                 fus.bestSec =
                     std::min(fus.bestSec, secondsSince(t0));
                 for (std::size_t i = 0; i < lanes; ++i)
@@ -278,7 +305,7 @@ main(int argc, char **argv)
 
         // Intra-run A/B: ONE Context-predictor cell, serial analyzer
         // vs the staged intra-run pipeline (PPM_HOTPATH_INTRA_THREADS
-        // total threads, default 4). Same trace, modes interleaved
+        // total threads, default 4). Same stream, modes interleaved
         // per repetition, identical checksum fold — this is the
         // within-run scaling row the engine's PPM_INTRA_THREADS knob
         // buys, as opposed to the across-lane fusion above.
@@ -294,7 +321,7 @@ main(int argc, char **argv)
             {
                 DpgAnalyzer analyzer(prog, profile, cfg);
                 const auto t0 = Clock::now();
-                trace->replay(prog, analyzer);
+                feed(stream, analyzer);
                 ser.bestSec =
                     std::min(ser.bestSec, secondsSince(t0));
                 checksum ^= analyzer.takeStats().totalElements();
@@ -303,7 +330,7 @@ main(int argc, char **argv)
                 IntraRunPipeline pipeline(prog, profile, cfg,
                                           intraThreads);
                 const auto t0 = Clock::now();
-                trace->replay(prog, pipeline);
+                feed(stream, pipeline);
                 const std::uint64_t elems =
                     pipeline.takeStats().totalElements();
                 // takeStats() joins the stages, so the clock stops
@@ -330,8 +357,8 @@ main(int argc, char **argv)
 
     // Sampling A/B: ONE Context cell on the headline workload,
     // simulation-fed full two-pass analysis vs the phase-sampled
-    // scheduler at the same budget. Neither side captures a trace, so
-    // this pair (and PPM_HOTPATH_SAMPLED_ONLY=1) is how the 100M-
+    // scheduler at the same budget. Neither side records the stream,
+    // so this pair (and PPM_HOTPATH_SAMPLED_ONLY=1) is how the 100M-
     // budget rows in the committed BENCH_hotpath.json are measured.
     auto run_sampled_pair = [&](const Workload &w) {
         const Program prog = assemble(std::string(w.source), w.name);

@@ -229,12 +229,6 @@ DpgAnalyzer::onInstr(const DynInstr &di)
     analyzeInstr(di);
 }
 
-bool
-DpgAnalyzer::prefersBlocks() const
-{
-    return blockPrefetch_;
-}
-
 void
 DpgAnalyzer::prefetchShallow(const DynInstr &di)
 {
@@ -679,14 +673,20 @@ DpgAnalyzer::takeStats()
     assert(!finalized_);
     // The write-once classification is only sound when the profile
     // covers the identical dynamic stream (same program, input, and
-    // budget) — the loose check promised in the header. Only the
-    // graph role counts dynInstrs, so partial-role instances skip it.
-    // A sampled analyzer (cfg.partialStream) sees a sub-stream of the
-    // profiled run, so the profile may only exceed the analyzed count.
-    assert(!role_.graph ||
-           (cfg_.partialStream
-                ? profile_.total() >= stats_.dynInstrs
-                : profile_.total() == stats_.dynInstrs));
+    // budget). Pass 2 re-simulates that stream, so this compare is
+    // what ties the two passes together, and it runs in every build.
+    // Only the graph role counts dynInstrs, so partial-role instances
+    // skip it. A sampled analyzer (cfg.partialStream) sees a
+    // sub-stream of the profiled run, so the profile may only exceed
+    // the analyzed count.
+    if (role_.graph &&
+        (cfg_.partialStream ? profile_.total() < stats_.dynInstrs
+                            : profile_.total() != stats_.dynInstrs)) {
+        throw std::runtime_error(
+            "pass-1 profile does not cover the analyzed stream: " +
+            std::to_string(profile_.total()) + " profiled vs " +
+            std::to_string(stats_.dynInstrs) + " analyzed");
+    }
     finalized_ = true;
 
     for (auto &vi : regs_)
@@ -705,17 +705,6 @@ DpgAnalyzer::takeStats()
             ? 0.0
             : static_cast<double>(stats_.gshareHits) /
                   static_cast<double>(stats_.gshareLookups);
-    const bool profileMismatch =
-        cfg_.partialStream ? profile_.total() < stats_.dynInstrs
-                           : profile_.total() != stats_.dynInstrs;
-    if (cfg_.verify && profileMismatch) {
-        // Release-mode version of the assert above: in verify mode a
-        // profile/stream mismatch must abort even without NDEBUG.
-        throw verify::VerifyError(
-            "pass-1 profile does not cover the analyzed stream: " +
-            std::to_string(profile_.total()) + " profiled vs " +
-            std::to_string(stats_.dynInstrs) + " analyzed");
-    }
     if (inv_) {
         inv_->finalize(stats_, cfg_.trackInfluence,
                        stats_.gshareLookups, stats_.gshareHits);

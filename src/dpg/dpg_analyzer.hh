@@ -314,8 +314,8 @@ class DpgAnalyzer : public TraceSink
   public:
     /**
      * @p profile must come from a pass-1 run of the identical
-     * program + input (checked loosely via instruction totals at
-     * finalize time).
+     * program + input (checked via instruction totals at finalize
+     * time: takeStats() throws std::runtime_error on a mismatch).
      */
     DpgAnalyzer(const Program &prog, const ExecProfile &profile,
                 const DpgConfig &config = DpgConfig{});
@@ -345,15 +345,13 @@ class DpgAnalyzer : public TraceSink
     void onInstr(const DynInstr &di) override;
 
     /**
-     * Batched entry point (the in-memory replay path): analyzes each
-     * instruction exactly as onInstr would — output is byte-identical
-     * — while prefetching the predictor-table and value-table lines
-     * the next few instructions will touch.
+     * Batched entry point (fused lanes, intra-run stages, imported
+     * traces): analyzes each instruction exactly as onInstr would —
+     * output is byte-identical — while prefetching the
+     * predictor-table and value-table lines the next few
+     * instructions will touch.
      */
     void onBlock(std::span<const DynInstr> block) override;
-
-    /** Blocks pay off iff the prefetch pipeline is armed. */
-    bool prefersBlocks() const override;
 
     void onRunEnd() override;
 

@@ -1,6 +1,7 @@
 #include "pred/predictor_bank.hh"
 
 #include <cassert>
+#include <ostream>
 
 #include "pred/context_predictor.hh"
 #include "pred/last_value_predictor.hh"
@@ -28,6 +29,12 @@ predictorName(PredictorKind kind)
       case PredictorKind::Context: return "context";
     }
     return "unknown";
+}
+
+std::ostream &
+operator<<(std::ostream &os, PredictorKind kind)
+{
+    return os << predictorName(kind);
 }
 
 std::unique_ptr<ValuePredictor>

@@ -19,6 +19,7 @@
 #define PPM_PRED_VALUE_PREDICTOR_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -150,6 +151,9 @@ char predictorLetter(PredictorKind kind);
 
 /** Full display name ("last-value", "stride", "context"). */
 std::string predictorName(PredictorKind kind);
+
+/** Writes predictorName(kind), so logs and test names read by name. */
+std::ostream &operator<<(std::ostream &os, PredictorKind kind);
 
 /** Sizing knobs; defaults reproduce the paper's configuration. */
 struct PredictorConfig

@@ -32,8 +32,6 @@ defaultThreads()
     return hw == 0 ? 1 : hw;
 }
 
-constexpr std::uint64_t kDefaultTraceCapMb = 256;
-
 CaptureKey
 keyOf(const ExperimentJob &job)
 {
@@ -93,13 +91,6 @@ EngineOptions::withEnvFallback() const
         o.intraThreads = static_cast<unsigned>(
             envUint("PPM_INTRA_THREADS", 1, /*min=*/1));
     }
-    if (o.traceByteCap == 0) {
-        o.traceByteCap = envUint("PPM_TRACE_MEM_MB",
-                                 kDefaultTraceCapMb, /*min=*/1) *
-                         1024 * 1024;
-    }
-    if (!o.replay.has_value())
-        o.replay = envFlag("PPM_REPLAY", true);
     if (!o.verify.has_value())
         o.verify = envFlag("PPM_VERIFY", false);
     if (!o.fused.has_value())
@@ -195,8 +186,6 @@ ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
     const EngineOptions resolved = opts.withEnvFallback();
     threads_ = resolved.threads;
     intraThreads_ = resolved.intraThreads;
-    traceByteCap_ = resolved.traceByteCap;
-    replay_ = *resolved.replay;
     verify_ = *resolved.verify;
     fused_ = *resolved.fused;
     sample_ = *resolved.sample;
@@ -206,8 +195,6 @@ ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
     obsJobs_ = obs::counter("runner.jobs_completed");
     obsBatches_ = obs::counter("runner.batches");
     obsSimulations_ = obs::counter("runner.simulations");
-    obsReplays_ = obs::counter("runner.replays");
-    obsReplayFallbacks_ = obs::counter("runner.replay_fallbacks");
     obsFusedGroups_ = obs::counter("runner.fused_groups");
     obsFusedLanes_ = obs::counter("runner.fused_lanes");
     obsWorkerBusyUs_ = obs::counter("runner.worker_busy_us");
@@ -289,14 +276,7 @@ ExperimentEngine::captureFor(const ExperimentJob &job)
         const auto t0 = Clock::now();
         r.profile = std::make_unique<ExecProfile>(prog.textSize());
         Machine m(prog, *job.input);
-        if (replay_) {
-            TraceCapture capture(prog, traceByteCap_);
-            TeeSink tee({r.profile.get(), &capture});
-            m.run(&tee, job.config.maxInstrs);
-            r.trace = capture.take();
-        } else {
-            m.run(r.profile.get(), job.config.maxInstrs);
-        }
+        m.run(r.profile.get(), job.config.maxInstrs);
         r.dynInstrs = r.profile->total();
         r.simulateSec = secondsSince(t0);
         return r;
@@ -326,20 +306,10 @@ ExperimentEngine::runJob(const ExperimentJob &job)
     // and therefore keeps the serial analyzer regardless of
     // PPM_INTRA_THREADS.
     const bool intra = intraThreads_ > 1 && !dpg.verify;
+    // Pass 2 re-simulates the deterministic stream pass 1 profiled.
     auto feed = [&](TraceSink &sink) {
-        if (ref.result->trace) {
-            ref.result->trace->replay(prog, sink);
-            out.timing.replayed = true;
-            if (obsReplays_)
-                obsReplays_->add();
-        } else {
-            // Capture overflowed its byte cap (or replay is off):
-            // spill fallback, re-simulating the deterministic stream.
-            Machine m(prog, *job.input);
-            m.run(&sink, job.config.maxInstrs);
-            if (obsReplayFallbacks_ && replay_)
-                obsReplayFallbacks_->add();
-        }
+        Machine m(prog, *job.input);
+        m.run(&sink, job.config.maxInstrs);
     };
     if (intra) {
         IntraRunPipeline pipeline(prog, *ref.result->profile, dpg,
@@ -364,7 +334,7 @@ ExperimentEngine::runFusedJobs(
     const Program &prog = *lead.program;
 
     // All lanes share one CaptureKey, so any member can run the
-    // capture; a cache hit here (a previous request captured this
+    // profile; a cache hit here (a previous request profiled this
     // key) must not skip any lane — each still gets its own analyzer.
     RunCache::CaptureRef ref = captureFor(lead);
 
@@ -377,22 +347,11 @@ ExperimentEngine::runFusedJobs(
     }
 
     const auto t1 = Clock::now();
-    bool replayed = false;
-    if (ref.result->trace) {
-        obs::Span span("fused_replay", "runner");
-        ref.result->trace->replay(prog, sink);
-        replayed = true;
-        if (obsReplays_)
-            obsReplays_->add();
-    } else {
-        // Capture overflowed its byte cap (or replay is off): one
-        // re-simulation still feeds every lane — the fallback stays
-        // fused, staging blocks inside the sink.
+    {
+        // One re-simulation feeds every lane; the sink stages blocks.
         obs::Span span("fused_resim", "runner");
         Machine m(prog, *lead.input);
         m.run(&sink, lead.config.maxInstrs);
-        if (obsReplayFallbacks_ && replay_)
-            obsReplayFallbacks_->add();
     }
     const double passSec = secondsSince(t1);
 
@@ -407,11 +366,10 @@ ExperimentEngine::runFusedJobs(
         out.stats = sink.takeStats(i);
         out.timing.assembleSec = group[i]->assembleSec;
         out.timing.simulateSec = ref.result->simulateSec;
-        // Lane 0 stands for the cell that would have run the capture;
+        // Lane 0 stands for the cell that would have run the profile;
         // the rest are sharers, mirroring the sequential accounting.
         out.timing.captureShared = i == 0 ? ref.hit : true;
         out.timing.dynInstrs = ref.result->dynInstrs;
-        out.timing.replayed = replayed;
         out.timing.analyzeSec = sink.laneSeconds(i);
         out.timing.fused = true;
         out.timing.fusedLanes = static_cast<unsigned>(group.size());
@@ -436,10 +394,9 @@ ExperimentEngine::runSampledJobs(
     obs::Span job_span("sampled_job", "runner");
     const ExperimentJob &lead = *group.front();
 
-    // No capture: the profiling pass streams into checkpoints and
-    // interval signatures directly, and the measurement pass
-    // re-produces only the sampled sub-streams — buffering the full
-    // budget would defeat 100M-1B scheduling. runClaimed's
+    // No RunCache entry: the profiling pass streams into checkpoints
+    // and interval signatures directly, and the measurement pass
+    // re-produces only the sampled sub-streams. runClaimed's
     // unconditional key release is a no-op for never-captured keys.
     std::vector<DpgConfig> configs;
     configs.reserve(group.size());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace ppm {
 
@@ -58,9 +60,25 @@ FusedAnalysisSink::setWarmup(bool on)
     }
 }
 
+DpgStats
+FusedAnalysisSink::takeStats(std::size_t i)
+{
+    DpgStats stats = lanes_[i].analyzer->takeStats();
+    if (stats.dynInstrs != delivered_) {
+        throw std::runtime_error(
+            "fused lane " + std::to_string(i) + " analyzed " +
+            std::to_string(stats.dynInstrs) +
+            " instructions, but the sink delivered " +
+            std::to_string(delivered_));
+    }
+    return stats;
+}
+
 void
 FusedAnalysisSink::dispatch(std::span<const DynInstr> block)
 {
+    if (!warmup_)
+        delivered_ += block.size();
     if (dispatchThreads_ > 1 && lanes_.size() > 1) {
         dispatchParallel(block);
         return;
@@ -98,17 +116,22 @@ FusedAnalysisSink::dispatchParallel(std::span<const DynInstr> block)
     lanesDone_ = 0;
     nextLane_.store(0, std::memory_order_relaxed);
     ++generation_;
+    open_ = true;
     workCv_.notify_all();
     // The barrier per block is what keeps lanes lock-free inside
     // onBlock: no lane is ever touched by two threads concurrently,
     // and the next block is not produced until every lane consumed
     // this one. Waiting for busy_ == 0 (not just the lane count)
-    // closes the straggler window — a worker that woke for this
-    // block but lost every claim still holds the stale span until it
-    // re-enters the wait.
+    // covers a worker that joined this block but lost every claim:
+    // it still holds this block's span until it re-takes the lock.
+    // Closing the block covers the other straggler, one woken for
+    // this block that reaches the lock only after the barrier: it
+    // finds the block closed and waits for the next one, instead of
+    // joining the next block with this block's span.
     doneCv_.wait(lock, [&] {
         return lanesDone_ == lanes_.size() && busy_ == 0;
     });
+    open_ = false;
 }
 
 void
@@ -116,9 +139,20 @@ FusedAnalysisSink::workerLoop()
 {
     std::unique_lock<std::mutex> lock(m_);
     std::uint64_t seen = 0;
+    const auto ready = [&] {
+        return stop_ || (open_ && generation_ != seen);
+    };
     for (;;) {
-        workCv_.wait(lock,
-                     [&] { return stop_ || generation_ != seen; });
+        if (syncHook_)
+            syncHook_(SyncPoint::Idle);
+        workCv_.wait(lock, ready);
+        if (syncHook_) {
+            lock.unlock();
+            syncHook_(SyncPoint::Woken);
+            lock.lock();
+            if (!ready())
+                continue;
+        }
         if (stop_)
             return;
         seen = generation_;
@@ -128,6 +162,8 @@ FusedAnalysisSink::workerLoop()
         const bool warm = warmup_;
         ++busy_;
         lock.unlock();
+        if (syncHook_)
+            syncHook_(SyncPoint::Claim);
         std::size_t processed = 0;
         for (;;) {
             const std::size_t i =
@@ -152,34 +188,26 @@ FusedAnalysisSink::workerLoop()
 }
 
 void
-FusedAnalysisSink::onInstr(const DynInstr &di)
+FusedAnalysisSink::flushStaged()
 {
-    staged_.push_back(di);
-    if (staged_.size() >= kStageBlock) {
-        dispatch(std::span<const DynInstr>(staged_));
-        staged_.clear();
-    }
+    if (staged_.empty())
+        return;
+    dispatch(std::span<const DynInstr>(staged_));
+    staged_.clear();
 }
 
 void
-FusedAnalysisSink::onBlock(std::span<const DynInstr> block)
+FusedAnalysisSink::onInstr(const DynInstr &di)
 {
-    // Mixed delivery keeps program order: drain any staged singles
-    // before the producer's block goes out.
-    if (!staged_.empty()) {
-        dispatch(std::span<const DynInstr>(staged_));
-        staged_.clear();
-    }
-    dispatch(block);
+    staged_.push_back(di);
+    if (staged_.size() >= kStageBlock)
+        flushStaged();
 }
 
 void
 FusedAnalysisSink::onRunEnd()
 {
-    if (!staged_.empty()) {
-        dispatch(std::span<const DynInstr>(staged_));
-        staged_.clear();
-    }
+    flushStaged();
     for (Lane &lane : lanes_) {
         const auto t0 = Clock::now();
         lane.analyzer->onRunEnd();

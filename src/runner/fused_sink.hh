@@ -1,16 +1,16 @@
 /**
  * @file
- * Fused sweep sink: one trace pass drives every predictor cell.
+ * Fused sweep sink: one stream pass drives every predictor cell.
  *
  * A figure sweep is a matrix of (workload, predictor) cells whose
  * rows share the identical deterministic instruction stream — only
  * the predictor configuration differs. FusedAnalysisSink multiplexes
  * that stream across N independent DpgAnalyzer lanes so the stream is
- * produced (replay decode, or a fallback re-simulation) exactly once
- * per row instead of once per cell. Each 256-instruction block is
- * staged once and dispatched to every lane in submission order;
- * per-lane prefersBlocks()/prefetch gating is preserved because each
- * lane's own onBlock decides whether to run its prefetch pipeline.
+ * simulated exactly once per row instead of once per cell. The
+ * simulator delivers one instruction at a time; the sink stages them
+ * into 256-instruction blocks and dispatches each block to every lane
+ * in submission order, so each lane's own onBlock decides whether to
+ * run its prefetch pipeline.
  *
  * Lanes are fully independent — separate PredictorBank, value tables,
  * pending-arc arenas, influence scratch — so interleaving blocks
@@ -26,6 +26,11 @@
  * of lanes to workers unobservable, so outputs stay byte-identical;
  * per-lane laneSeconds attribution is preserved because exactly one
  * worker runs a given lane for a given block.
+ *
+ * Stream accounting: the sink counts the instructions it delivers
+ * outside warm-up, and takeStats(i) throws if lane i analyzed a
+ * different number — a lane that saw a stale or torn block fails
+ * loudly instead of printing wrong figures.
  */
 
 #ifndef PPM_RUNNER_FUSED_SINK_HH
@@ -35,6 +40,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -50,11 +56,22 @@ class FusedAnalysisSink : public TraceSink
 {
   public:
     /**
-     * Instructions per staged block on the onInstr (re-simulation
-     * fallback) path. Matches CapturedTrace::kReplayBlock so both
-     * producers hand lanes the same lookahead window.
+     * Instructions per staged block: the lookahead window each lane's
+     * prefetch pipeline sees (same as IntraRunPipeline::kStageBlock).
      */
     static constexpr std::size_t kStageBlock = 256;
+
+    /**
+     * Named points in a dispatch worker's loop, for the test-only
+     * sync hook (setSyncHookForTesting). Idle is reported with the
+     * sink's lock held, the other two with it released.
+     */
+    enum class SyncPoint
+    {
+        Idle,  ///< About to wait for the next block.
+        Woken, ///< Woken up, before re-taking the lock.
+        Claim, ///< Counted into a block, before claiming lanes.
+    };
 
     /**
      * @p dispatchThreads > 1 enables the parallel lane fan-out (the
@@ -81,28 +98,22 @@ class FusedAnalysisSink : public TraceSink
         return lanes_[i].seconds;
     }
 
-    /** Finalize lane @p i and take its statistics. */
-    DpgStats takeStats(std::size_t i)
-    {
-        return lanes_[i].analyzer->takeStats();
-    }
+    /**
+     * Finalize lane @p i and take its statistics. Throws
+     * std::runtime_error when the lane analyzed a different number of
+     * instructions than the sink delivered.
+     */
+    DpgStats takeStats(std::size_t i);
+
+    /** Instructions dispatched to every lane outside warm-up. */
+    std::uint64_t delivered() const { return delivered_; }
 
     /**
-     * Simulator path: Machine::run emits one instruction at a time,
-     * so the sink stages its own kStageBlock-sized batches before
-     * dispatching to the lanes.
+     * Machine::run emits one instruction at a time, so the sink
+     * stages its own kStageBlock-sized batches before dispatching to
+     * the lanes.
      */
     void onInstr(const DynInstr &di) override;
-
-    /** Replay path: dispatch the producer's block to every lane. */
-    void onBlock(std::span<const DynInstr> block) override;
-
-    /**
-     * Always batch: even when no lane runs a prefetch pipeline the
-     * staging cost is paid once for N lanes, so blocks win for the
-     * sink as a whole.
-     */
-    bool prefersBlocks() const override { return true; }
 
     /** Flush any staged partial block, then end every lane's run. */
     void onRunEnd() override;
@@ -117,6 +128,18 @@ class FusedAnalysisSink : public TraceSink
      */
     void setWarmup(bool on);
 
+    /**
+     * Test seam: call @p hook at each SyncPoint of every dispatch
+     * worker, so a test can force a schedule (for example, park a
+     * woken worker until its block's barrier has passed). Install
+     * before the first block; the hook must not call into the sink
+     * from the Idle point, where the sink's lock is held.
+     */
+    void setSyncHookForTesting(std::function<void(SyncPoint)> hook)
+    {
+        syncHook_ = std::move(hook);
+    }
+
   private:
     struct Lane
     {
@@ -126,6 +149,9 @@ class FusedAnalysisSink : public TraceSink
 
     /** Timed per-lane fan-out of one block. */
     void dispatch(std::span<const DynInstr> block);
+
+    /** Dispatch and clear the staging buffer, if it holds anything. */
+    void flushStaged();
 
     /** Worker-pool fan-out (dispatchThreads_ > 1, 2+ lanes). */
     void dispatchParallel(std::span<const DynInstr> block);
@@ -137,8 +163,11 @@ class FusedAnalysisSink : public TraceSink
 
     std::vector<Lane> lanes_;
 
-    /** Staging buffer for the onInstr fallback path. */
+    /** Staging buffer between the simulator and the lanes. */
     std::vector<DynInstr> staged_;
+
+    /** Instructions dispatched outside warm-up (stream accounting). */
+    std::uint64_t delivered_ = 0;
 
     // --- parallel lane dispatch ------------------------------------
     unsigned dispatchThreads_ = 1;
@@ -149,12 +178,22 @@ class FusedAnalysisSink : public TraceSink
     std::span<const DynInstr> current_{};
     std::uint64_t generation_ = 0; ///< Bumped per dispatched block.
     std::size_t lanesDone_ = 0;    ///< Lanes finished this block.
-    std::size_t busy_ = 0;         ///< Workers awake for this block.
+    std::size_t busy_ = 0;         ///< Workers counted into this block.
     std::atomic<std::size_t> nextLane_{0}; ///< Work-stealing cursor.
     bool stop_ = false;
 
+    /**
+     * True from a block's publication until its barrier passes.
+     * Workers join a block only while it is open, so a worker woken
+     * for block g that reaches the lock after g's barrier cannot
+     * count itself into block g + 1 with g's span.
+     */
+    bool open_ = false;
+
     /** Warm-up mode flag; workers read it under m_ per generation. */
     bool warmup_ = false;
+
+    std::function<void(SyncPoint)> syncHook_;
 };
 
 } // namespace ppm

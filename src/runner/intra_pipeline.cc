@@ -120,16 +120,6 @@ IntraRunPipeline::onInstr(const DynInstr &di)
 }
 
 void
-IntraRunPipeline::onBlock(std::span<const DynInstr> block)
-{
-    if (!staged_.empty()) {
-        publishBlock(staged_);
-        staged_.clear();
-    }
-    publishBlock(block);
-}
-
-void
 IntraRunPipeline::onRunEnd()
 {
     finish();

@@ -12,9 +12,8 @@
  * stages over the 256-instruction blocks the PR-5 dispatch already
  * batches:
  *
- *   producer (caller thread)  — replay decode or re-simulation,
- *                               publishing copied blocks into a
- *                               bounded ring
+ *   producer (caller thread)  — the simulator, publishing
+ *                               copied blocks into a bounded ring
  *   stage 0: predict          — bank lookups in stream order, one
  *                               PredByte annotation per instruction
  *   stage 1: graph            — annotation-driven dataflow
@@ -68,7 +67,7 @@ namespace ppm {
 class IntraRunPipeline : public TraceSink
 {
   public:
-    /** Instructions per staged block (matches the replay block). */
+    /** Instructions per staged block (matches the fused sink's). */
     static constexpr std::size_t kStageBlock = 256;
 
     /** Ring capacity in blocks: bounds producer run-ahead. */
@@ -88,13 +87,8 @@ class IntraRunPipeline : public TraceSink
 
     ~IntraRunPipeline() override;
 
-    /** Re-simulation fallback path: stages kStageBlock batches. */
+    /** Stage the simulator's stream into kStageBlock batches. */
     void onInstr(const DynInstr &di) override;
-
-    /** Replay path: copy the block into the ring and publish it. */
-    void onBlock(std::span<const DynInstr> block) override;
-
-    bool prefersBlocks() const override { return true; }
 
     /** Flush staging, signal end-of-stream, and join the workers. */
     void onRunEnd() override;
@@ -157,7 +151,7 @@ class IntraRunPipeline : public TraceSink
     bool finished_ = false;
     std::exception_ptr error_;
 
-    /** Staging buffer for the onInstr fallback path. */
+    /** Staging buffer between the simulator and the ring. */
     std::vector<DynInstr> staged_;
 };
 

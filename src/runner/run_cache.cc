@@ -227,11 +227,8 @@ RunCache::retainLocked(const CaptureKey &key)
         return;
     }
     std::shared_ptr<const CaptureResult> result = it->second.get();
-    // Trace bytes dominate; the profile and bookkeeping ride in a
-    // small fixed overhead term.
     const std::uint64_t bytes =
-        (result && result->trace ? result->trace->memoryBytes() : 0) +
-        4096;
+        result && result->profile ? result->profile->memoryBytes() : 0;
     lru_.push_back(key);
     retained_.emplace(key, Retained{std::prev(lru_.end()), bytes});
     retainedBytes_ += bytes;

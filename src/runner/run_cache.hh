@@ -8,22 +8,24 @@
  *    is assembled once per process instead of once per experiment
  *    cell;
  *  - a **capture cache** keyed by (program identity, input hash,
- *    instruction budget): the pass-1 run — ExecProfile plus the
- *    in-memory CapturedTrace — is computed once and shared by every
- *    predictor configuration analyzing the same cell, so a figure
- *    binary sweeping three predictors simulates each workload once.
+ *    instruction budget): the pass-1 run — the ExecProfile that
+ *    resolves write-once producers, plus its instruction count and
+ *    wall time — is computed once and shared by every predictor
+ *    configuration analyzing the same cell. Pass 2 re-simulates the
+ *    deterministic stream, so an entry is a few kilobytes (8 bytes
+ *    per static instruction), not a copy of the stream.
  *
  * A capture requested concurrently from several worker threads is
  * computed exactly once; the other threads block on a shared_future.
  * The engine releases a capture once the last cell needing it has
- * finished, bounding resident trace memory to the in-flight set.
+ * finished.
  *
  * Retention (the serve daemon's memoization tier): with
  * setRetentionBytes(N > 0), release() keeps the capture cached
  * instead of dropping it, in an LRU set bounded to ~N bytes of
- * trace memory — so identical requests arriving minutes apart still
- * hit, while the resident set stays bounded. Retention off (the
- * default) preserves the batch engine's eager-release behavior.
+ * profile memory — so identical requests arriving minutes apart
+ * skip pass 1, while the resident set stays bounded. Retention off
+ * (the default) preserves the batch engine's eager-release behavior.
  */
 
 #ifndef PPM_RUNNER_RUN_CACHE_HH
@@ -40,19 +42,15 @@
 
 #include "asmr/program.hh"
 #include "obs/metrics.hh"
-#include "runner/trace_buffer.hh"
 #include "sim/profiler.hh"
 
 namespace ppm {
 
-/** Everything one pass-1 (profile + capture) run produces. */
+/** Everything one pass-1 (profile) run produces. */
 struct CaptureResult
 {
-    /** Complete exec-count profile (valid even when trace is null). */
+    /** Complete exec-count profile of the run. */
     std::unique_ptr<ExecProfile> profile;
-
-    /** The replayable stream; null when the byte cap was exceeded. */
-    std::shared_ptr<const CapturedTrace> trace;
 
     /** Dynamic instructions the pass executed. */
     std::uint64_t dynInstrs = 0;
@@ -154,7 +152,7 @@ class RunCache
 
     /**
      * Keep released captures cached until the retained set exceeds
-     * @p bytes of trace memory (LRU eviction). 0 disables retention
+     * @p bytes of profile memory (LRU eviction). 0 disables retention
      * and drops every currently retained capture.
      */
     void setRetentionBytes(std::uint64_t bytes);

@@ -9,12 +9,12 @@
 
 #include "obs/obs.hh"
 #include "runner/fused_sink.hh"
-#include "runner/trace_buffer.hh"
 #include "sample/interval_profiler.hh"
 #include "sample/phase_cluster.hh"
 #include "sim/checkpoint.hh"
 #include "sim/machine.hh"
 #include "sim/profiler.hh"
+#include "sim/trace.hh"
 #include "support/env.hh"
 
 namespace ppm {

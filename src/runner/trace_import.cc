@@ -96,10 +96,10 @@ parseBranchTrace(std::istream &in, const std::string &name)
 void
 replayImported(const ImportedTrace &trace, TraceSink &sink)
 {
-    // Stage in blocks so block-preferring sinks (the analyzer's
-    // prefetch pipeline) get the same delivery shape as the
-    // in-memory replay path. instr pointers are set here, into the
-    // caller-owned program, and stay valid for the sink's lifetime.
+    // Stage in blocks so the analyzer's prefetch pipeline gets the
+    // same 256-instruction lookahead as fused lanes. instr pointers
+    // are set here, into the caller-owned program, and stay valid
+    // for the sink's lifetime.
     constexpr std::size_t kBlock = 256;
     std::array<DynInstr, kBlock> stage;
     std::size_t fill = 0;

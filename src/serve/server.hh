@@ -17,8 +17,8 @@
  *    with an error response before any work runs;
  *  - **memory budget** — a request line longer than
  *    ServerOptions::maxLineBytes aborts the connection (the stream
- *    itself is malformed at that point), and trace memory is bounded
- *    by the engine's capture byte cap plus the retention LRU budget;
+ *    itself is malformed at that point), and retained pass-1
+ *    profiles are bounded by the retention LRU budget;
  *  - **admission control** — at most ServerOptions::maxInflight
  *    analyze/trace requests run at once; excess requests receive an
  *    explicit `overloaded` response immediately instead of queueing

@@ -42,6 +42,12 @@ class ExecProfile : public TraceSink
     /** Number of distinct static instructions that executed. */
     std::uint64_t staticTouched() const;
 
+    /** Bytes held by the per-instruction count table. */
+    std::uint64_t memoryBytes() const
+    {
+        return counts_.capacity() * sizeof(std::uint64_t);
+    }
+
   private:
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;

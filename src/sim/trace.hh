@@ -17,6 +17,8 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "isa/instruction.hh"
 #include "support/types.hh"
@@ -90,11 +92,12 @@ class TraceSink
     /**
      * Called with a batch of consecutive instructions, in program
      * order. Semantically identical to calling onInstr for each
-     * element; producers that buffer (the in-memory trace replay)
-     * use this to amortize virtual dispatch, and sinks that care
-     * (DpgAnalyzer, TeeSink) override it to batch-process and
-     * prefetch upcoming predictor/table state. The default simply
-     * loops, so implementing onInstr alone stays correct.
+     * element; producers that buffer (imported-trace replay, fused
+     * lanes, benchmarks feeding a recorded stream) use this to
+     * amortize virtual dispatch, and DpgAnalyzer overrides it to
+     * batch-process and prefetch upcoming predictor/table state. The
+     * default simply loops, so implementing onInstr alone stays
+     * correct.
      */
     virtual void
     onBlock(std::span<const DynInstr> block)
@@ -103,20 +106,35 @@ class TraceSink
             onInstr(di);
     }
 
-    /**
-     * Should producers that can batch (the in-memory trace replay)
-     * deliver via onBlock? Batching costs the producer a staging
-     * buffer between decode and dispatch, which measurably slows
-     * sinks that gain nothing from lookahead — so sinks opt in only
-     * when they exploit blocks (e.g. the analyzer's prefetch
-     * pipeline over DRAM-sized predictor tables). Either delivery
-     * mode must produce identical results; this only picks the
-     * faster path.
-     */
-    virtual bool prefersBlocks() const { return false; }
-
     /** Called after the last instruction of a run. */
     virtual void onRunEnd() {}
+};
+
+/** Fans one DynInstr stream out to several sinks (e.g. two profilers). */
+class TeeSink : public TraceSink
+{
+  public:
+    explicit TeeSink(std::vector<TraceSink *> sinks)
+        : sinks_(std::move(sinks))
+    {
+    }
+
+    void
+    onInstr(const DynInstr &di) override
+    {
+        for (TraceSink *sink : sinks_)
+            sink->onInstr(di);
+    }
+
+    void
+    onRunEnd() override
+    {
+        for (TraceSink *sink : sinks_)
+            sink->onRunEnd();
+    }
+
+  private:
+    std::vector<TraceSink *> sinks_;
 };
 
 } // namespace ppm

@@ -37,6 +37,14 @@ class Parser
   public:
     explicit Parser(std::string_view text) : text_(text) {}
 
+    /**
+     * Deepest array/object nesting accepted. The parser recurses once
+     * per level, so an unbounded depth lets one short hostile line
+     * ("[[[[...") overflow the stack and kill the process; no document
+     * this repository reads nests anywhere near this deep.
+     */
+    static constexpr unsigned kMaxDepth = 256;
+
     JsonValue
     document()
     {
@@ -131,9 +139,28 @@ class Parser
         }
     }
 
+    /** Count one nesting level for the enclosing scope. */
+    class Nest
+    {
+      public:
+        explicit Nest(Parser &p) : p_(p)
+        {
+            if (p_.depth_ == kMaxDepth) {
+                p_.fail("nesting deeper than " +
+                        std::to_string(kMaxDepth) + " levels");
+            }
+            ++p_.depth_;
+        }
+        ~Nest() { --p_.depth_; }
+
+      private:
+        Parser &p_;
+    };
+
     JsonValue
     objectValue()
     {
+        const Nest nest(*this);
         JsonValue v;
         v.kind = JsonValue::Kind::Object;
         expect('{');
@@ -156,6 +183,7 @@ class Parser
     JsonValue
     arrayValue()
     {
+        const Nest nest(*this);
         JsonValue v;
         v.kind = JsonValue::Kind::Array;
         expect('[');
@@ -315,6 +343,7 @@ class Parser
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0; ///< Arrays/objects currently open.
 };
 
 } // namespace

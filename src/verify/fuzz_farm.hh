@@ -10,9 +10,9 @@
  * promoted to a pinned `fuzz_regress_<seed>` ctest — when the program
  * does not assemble, does not halt within the family's structural
  * instruction bound, diverges from the oracles, or violates a DPG
- * conservation law. The farm is the repo's third intake path (after
- * hand-written workloads and captured traces) and its first
- * statistical harness: every predictor change gets hundreds of
+ * conservation law. The farm is an intake path next to the
+ * hand-written workloads and imported branch traces, and the repo's
+ * first statistical harness: every predictor change gets hundreds of
  * adversarial programs for free. Driven by `ppm fuzz` (tools/) and
  * the fuzz_smoke / fuzz_sweep ctests.
  */

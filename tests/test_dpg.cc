@@ -9,6 +9,8 @@
 
 #include "analysis/experiment.hh"
 #include "asmr/assembler.hh"
+#include "dpg/dpg_analyzer.hh"
+#include "sim/machine.hh"
 #include "workloads/workload.hh"
 
 namespace ppm {
@@ -408,6 +410,36 @@ l:      li $4, 7
     EXPECT_GT(h.totalWeight(), stats.dynInstrs * 8 / 10);
     // And the bulk of that weight is in runs of 256+.
     EXPECT_GT(h.tailFraction(9), 0.8);
+}
+
+// Pass 2 re-simulates the stream pass 1 profiled, so the instruction
+// totals tie the two passes together: an analyzer fed more or fewer
+// instructions than its profile covers must fail in every build, not
+// only where assertions are compiled in.
+TEST(DpgModel, MismatchedProfileThrows)
+{
+    const Workload &w = findWorkload("compress");
+    const Program prog = assemble(std::string(w.source), w.name);
+    const auto input = w.makeInput(kDefaultWorkloadSeed);
+    ExecProfile profile(prog.textSize());
+    Machine(prog, input).run(&profile, 20'000);
+
+    for (const std::uint64_t analyzed : {10'000u, 30'000u}) {
+        DpgAnalyzer analyzer(prog, profile);
+        Machine(prog, input).run(&analyzer, analyzed);
+        EXPECT_THROW(analyzer.takeStats(), std::runtime_error)
+            << "analyzed " << analyzed;
+    }
+
+    // A sampled analyzer sees a sub-stream: fewer is fine, more is not.
+    DpgConfig partial;
+    partial.partialStream = true;
+    DpgAnalyzer sub(prog, profile, partial);
+    Machine(prog, input).run(&sub, 10'000);
+    EXPECT_EQ(sub.takeStats().dynInstrs, 10'000u);
+    DpgAnalyzer over(prog, profile, partial);
+    Machine(prog, input).run(&over, 30'000);
+    EXPECT_THROW(over.takeStats(), std::runtime_error);
 }
 
 } // namespace

@@ -283,8 +283,6 @@ TEST(EngineApi, FromEnvResolvesKnobsAndShieldsExplicitFields)
     EXPECT_EQ(resolved.threads, 3u);
     ASSERT_TRUE(resolved.fused.has_value());
     EXPECT_FALSE(*resolved.fused);
-    ASSERT_TRUE(resolved.replay.has_value());
-    EXPECT_TRUE(*resolved.replay); // Documented default.
 
     // An explicit field wins and its variable is not even parsed.
     ASSERT_EQ(setenv("PPM_THREADS", "garbage", 1), 0);
@@ -314,9 +312,9 @@ TEST(EngineApi, FromEnvFailsLoudlyOnMalformedValues)
     }
     unsetenv("PPM_THREADS");
 
-    ASSERT_EQ(setenv("PPM_REPLAY", "maybe", 1), 0);
+    ASSERT_EQ(setenv("PPM_VERIFY", "maybe", 1), 0);
     EXPECT_THROW((void)EngineOptions::fromEnv(), EnvError);
-    unsetenv("PPM_REPLAY");
+    unsetenv("PPM_VERIFY");
 }
 
 } // namespace

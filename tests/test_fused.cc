@@ -1,18 +1,23 @@
 /**
  * @file
  * Fused-sweep tests: N predictor cells sharing one (program, input,
- * budget) capture run as lanes of a single pass (runner/fused_sink.hh)
+ * budget) key run as lanes of a single pass (runner/fused_sink.hh)
  * and must stay byte-identical to the sequential per-cell path. Also
  * pins the coalescing rules — different budgets never coalesce, a
- * RunCache hit on the group's key skips no lane — and the stage-timing
- * attribution (shared stream cost counted once, on lane 0).
+ * RunCache hit on the group's key skips no lane — the stage-timing
+ * attribution (shared stream cost counted once, on lane 0), the
+ * sink's stream accounting, and the parallel dispatch barrier.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiment.hh"
@@ -22,7 +27,6 @@
 #include "runner/fused_sink.hh"
 #include "runner/run_cache.hh"
 #include "runner/stage_report.hh"
-#include "runner/trace_buffer.hh"
 #include "sim/machine.hh"
 #include "support/env.hh"
 #include "workloads/workload.hh"
@@ -96,7 +100,6 @@ TEST(FusedSink, SimulatorFeedsEveryLaneThroughStaging)
         sink.addLane(
             std::make_unique<DpgAnalyzer>(prog, profile, cfg));
     }
-    EXPECT_TRUE(sink.prefersBlocks());
     {
         Machine m(prog, input);
         m.run(&sink, kBudget);
@@ -111,39 +114,179 @@ TEST(FusedSink, SimulatorFeedsEveryLaneThroughStaging)
     }
 }
 
-// The same sink fed from a captured trace (block delivery): identical
-// output again, and per-lane seconds accumulate.
-TEST(FusedSink, ReplayFeedsEveryLaneBlockwise)
+/** Pass 1 plus a recording of the stream, for driving a sink by hand. */
+class RecordSink : public TraceSink
 {
-    const Workload &w = findWorkload("gcc");
-    const Program prog = assemble(std::string(w.source), w.name);
-    const auto input = w.makeInput(kDefaultWorkloadSeed);
-
-    ExecProfile profile(prog.textSize());
-    TraceCapture capture(prog, 256ULL * 1024 * 1024);
+  public:
+    explicit RecordSink(const Program &prog) : profile(prog.textSize())
     {
-        TeeSink tee({&profile, &capture});
-        Machine m(prog, input);
-        m.run(&tee, kBudget);
     }
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
+
+    void
+    onInstr(const DynInstr &di) override
+    {
+        profile.onInstr(di);
+        stream.push_back(di);
+    }
+
+    ExecProfile profile;
+    std::vector<DynInstr> stream;
+};
+
+// Stream accounting: a lane that analyzed a different number of
+// instructions than the sink delivered fails loudly at takeStats.
+// Sampled (partial-stream) lanes pass the analyzer's own profile
+// check here, so only the sink's count can catch the extra block.
+TEST(FusedSink, TakeStatsThrowsWhenALaneSawAnotherStream)
+{
+    const Workload &w = findWorkload("compress");
+    const Program prog = assemble(std::string(w.source), w.name);
+    RecordSink rec(prog);
+    Machine(prog, w.makeInput(kDefaultWorkloadSeed))
+        .run(&rec, 2 * kBudget);
 
     FusedAnalysisSink sink;
     for (PredictorKind kind : allKinds()) {
         DpgConfig cfg;
         cfg.kind = kind;
+        cfg.partialStream = true;
         sink.addLane(
-            std::make_unique<DpgAnalyzer>(prog, profile, cfg));
+            std::make_unique<DpgAnalyzer>(prog, rec.profile, cfg));
     }
-    trace->replay(prog, sink);
+    for (std::size_t i = 0; i < kBudget; ++i)
+        sink.onInstr(rec.stream[i]);
+    sink.onRunEnd();
+    ASSERT_EQ(sink.delivered(), kBudget);
 
-    for (std::size_t i = 0; i < allKinds().size(); ++i) {
-        EXPECT_GE(sink.laneSeconds(i), 0.0);
-        EXPECT_EQ(fingerprint(sink.takeStats(i)),
-                  fingerprint(referenceStats(
-                      w, cellConfig(allKinds()[i]))))
-            << "lane " << i;
+    // Lane 0 alone sees one more block than the sink delivered.
+    sink.lane(0).onBlock(std::span<const DynInstr>(
+        rec.stream.data() + kBudget, FusedAnalysisSink::kStageBlock));
+    EXPECT_THROW(sink.takeStats(0), std::runtime_error);
+    for (std::size_t i = 1; i < allKinds().size(); ++i)
+        EXPECT_EQ(sink.takeStats(i).dynInstrs, kBudget) << "lane " << i;
+}
+
+/** Shared state of a forced lane-dispatch schedule (see below). */
+struct DispatchSchedule
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    bool armed = true;
+    std::thread::id lateWaker;
+    bool drained = false;  ///< Block 1's dispatch returned.
+    bool settled = false;  ///< The late waker re-took the lock.
+    bool nextOpen = false; ///< The other worker joined block 2.
+    bool lateClaimed = false;
+    bool timedOut = false;
+
+    /** Wait for @p pred, bounded so a broken schedule cannot hang. */
+    template <typename Pred>
+    void
+    waitFor(std::unique_lock<std::mutex> &lock, Pred pred)
+    {
+        if (!cv.wait_for(lock, std::chrono::seconds(10), pred))
+            timedOut = true;
+    }
+};
+
+// Regression for the parallel-dispatch barrier. A worker woken for
+// block g that reaches the lock only after g's barrier has passed
+// must not join block g + 1 with g's span: when g + 1 is a partial
+// block, such a worker analyzes 256 instructions where the block
+// holds fewer. The sync hook forces that interleaving instead of
+// waiting for it: one worker parks between wake-up and lock until
+// block 1 has drained; if it then counts itself into a block, it
+// holds its claim until block 2 opens and claims before the other
+// worker does.
+TEST(FusedSink, LateWakerNeverClaimsTheNextBlockWithAStaleSpan)
+{
+    const Workload &w = findWorkload("compress");
+    const Program prog = assemble(std::string(w.source), w.name);
+    // One full block, then a partial one.
+    constexpr std::uint64_t kTwoBlocks =
+        FusedAnalysisSink::kStageBlock + 100;
+    RecordSink rec(prog);
+    Machine(prog, w.makeInput(kDefaultWorkloadSeed))
+        .run(&rec, kTwoBlocks);
+    ASSERT_EQ(rec.stream.size(), kTwoBlocks);
+
+    using Point = FusedAnalysisSink::SyncPoint;
+    DispatchSchedule sched;
+
+    FusedAnalysisSink sink(/*dispatchThreads=*/2);
+    for (PredictorKind kind :
+         {PredictorKind::LastValue, PredictorKind::Context}) {
+        DpgConfig cfg;
+        cfg.kind = kind;
+        sink.addLane(
+            std::make_unique<DpgAnalyzer>(prog, rec.profile, cfg));
+    }
+    sink.setSyncHookForTesting([&](Point point) {
+        std::unique_lock<std::mutex> lock(sched.mu);
+        const bool late =
+            std::this_thread::get_id() == sched.lateWaker;
+        switch (point) {
+          case Point::Woken:
+            if (sched.armed) {
+                sched.armed = false;
+                sched.lateWaker = std::this_thread::get_id();
+                sched.waitFor(lock, [&] { return sched.drained; });
+            }
+            break;
+          case Point::Idle:
+            // Back to waiting without joining a block.
+            if (late && sched.drained && !sched.settled) {
+                sched.settled = true;
+                sched.cv.notify_all();
+            }
+            break;
+          case Point::Claim:
+            if (!sched.drained)
+                break;
+            if (late && !sched.settled) {
+                // Counted into a block that already drained: keep its
+                // span until the next block opens, then claim first.
+                sched.settled = true;
+                sched.cv.notify_all();
+                sched.waitFor(lock, [&] { return sched.nextOpen; });
+                sched.lateClaimed = true;
+            } else if (late) {
+                sched.lateClaimed = true;
+            } else {
+                sched.nextOpen = true;
+                sched.cv.notify_all();
+                sched.waitFor(lock,
+                              [&] { return sched.lateClaimed; });
+            }
+            sched.cv.notify_all();
+            break;
+        }
+    });
+
+    // Block 1: one worker parks at wake-up, the other drains it.
+    for (std::size_t i = 0; i < FusedAnalysisSink::kStageBlock; ++i)
+        sink.onInstr(rec.stream[i]);
+    {
+        std::unique_lock<std::mutex> lock(sched.mu);
+        sched.drained = true;
+        sched.cv.notify_all();
+        sched.waitFor(lock, [&] { return sched.settled; });
+    }
+    // Block 2, the partial one, is published by the run's end.
+    for (std::size_t i = FusedAnalysisSink::kStageBlock;
+         i < rec.stream.size(); ++i)
+        sink.onInstr(rec.stream[i]);
+    sink.onRunEnd();
+
+    {
+        std::lock_guard<std::mutex> lock(sched.mu);
+        EXPECT_FALSE(sched.timedOut);
+    }
+    EXPECT_EQ(sink.delivered(), kTwoBlocks);
+    for (std::size_t i = 0; i < sink.laneCount(); ++i) {
+        DpgStats stats;
+        EXPECT_NO_THROW(stats = sink.takeStats(i)) << "lane " << i;
+        EXPECT_EQ(stats.dynInstrs, sink.delivered()) << "lane " << i;
     }
 }
 
@@ -158,7 +301,6 @@ TEST(FusedEngine, MatchesSequentialPerCell)
     auto runWith = [&](bool fused) {
         EngineOptions opts;
         opts.threads = 2;
-        opts.replay = true;
         opts.fused = fused;
         ExperimentEngine engine(opts);
         std::vector<ExperimentJob> jobs;
@@ -183,7 +325,6 @@ TEST(FusedEngine, MatchesSequentialPerCell)
             << "cell " << i;
         EXPECT_EQ(fused[i].timing.laneIndex, i % allKinds().size())
             << "cell " << i;
-        EXPECT_TRUE(fused[i].timing.replayed) << "cell " << i;
     }
 }
 
@@ -194,7 +335,6 @@ TEST(FusedEngine, DifferentBudgetsDoNotCoalesce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -232,7 +372,6 @@ TEST(FusedEngine, MixedBudgetsSplitIntoCorrectGroups)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -274,7 +413,6 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -292,11 +430,8 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
         CaptureResult r;
         r.profile =
             std::make_unique<ExecProfile>(lead.program->textSize());
-        TraceCapture capture(*lead.program, engine.traceByteCap());
-        TeeSink tee({r.profile.get(), &capture});
         Machine m(*lead.program, *lead.input);
-        m.run(&tee, lead.config.maxInstrs);
-        r.trace = capture.take();
+        m.run(r.profile.get(), lead.config.maxInstrs);
         r.dynInstrs = r.profile->total();
         return r;
     });
@@ -317,43 +452,12 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
     }
 }
 
-// Capture overflow: the fused pass falls back to ONE re-simulation
-// feeding all lanes (not one per lane), still matching the reference.
-TEST(FusedEngine, OverflowFallbackResimulatesOnceForAllLanes)
-{
-    EngineOptions opts;
-    opts.threads = 1;
-    opts.traceByteCap = 4096;  // Far below any real run.
-    opts.replay = true;
-    opts.fused = true;
-    ExperimentEngine engine(opts);
-
-    const Workload &w = findWorkload("gcc");
-    std::vector<ExperimentJob> jobs;
-    for (PredictorKind kind : allKinds())
-        jobs.push_back(engine.makeJob(w, cellConfig(kind)));
-
-    const auto outcomes = engine.run(jobs);
-    ASSERT_EQ(outcomes.size(), allKinds().size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        EXPECT_TRUE(outcomes[i].timing.fused) << "cell " << i;
-        EXPECT_FALSE(outcomes[i].timing.replayed) << "cell " << i;
-        EXPECT_EQ(fingerprint(outcomes[i].stats),
-                  fingerprint(referenceStats(
-                      w, cellConfig(allKinds()[i]))))
-            << "cell " << i;
-    }
-    // One overflowed capture lookup for the whole group.
-    EXPECT_EQ(engine.cache().counters().captureMisses, 1u);
-}
-
 // Stage-timing attribution: per-lane analyze time is separate from
 // the shared stream cost, which lane 0 carries exactly once.
 TEST(FusedEngine, SharedStageTimingCountedOnce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -380,8 +484,6 @@ TEST(FusedEngine, SharedStageTimingCountedOnce)
     EXPECT_NE(doc.find("\"shared_stages\":{"), std::string::npos);
     EXPECT_NE(doc.find("\"fused_groups\":1"), std::string::npos);
     EXPECT_NE(doc.find("\"fused_lanes\":3"), std::string::npos);
-    // One replay pass for the whole group, not one per lane.
-    EXPECT_NE(doc.find("\"replay_passes\":1"), std::string::npos);
     EXPECT_NE(doc.find("\"fused\":true"), std::string::npos);
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <ostream>
+#include <sstream>
+#include <string>
 
 #include "asmr/assembler.hh"
 #include "sim/machine.hh"
@@ -36,6 +40,40 @@ struct AluCase
     std::int64_t b;
     std::uint64_t expect;
 };
+
+/** GetParam() text in test listings: "add(2, 3)". */
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << c.op << "(" << c.a << ", " << c.b << ")";
+}
+
+/**
+ * A test-name-safe rendering of @p v: '-' becomes "m" and '.' becomes
+ * "p" (-1.5 -> "m1p5").
+ */
+template <typename T>
+std::string
+nameSafe(T v)
+{
+    std::ostringstream os;
+    os << v;
+    std::string out;
+    for (char ch : os.str())
+        out += ch == '-' ? 'm' : ch == '.' ? 'p' : ch;
+    return out;
+}
+
+/** Stable case names ("add_2_3"): ctest names derive from them. */
+template <typename Case>
+std::string
+caseName(const ::testing::TestParamInfo<Case> &info)
+{
+    std::string op = info.param.op;
+    std::replace(op.begin(), op.end(), '.', '_');
+    return op + "_" + nameSafe(info.param.a) + "_" +
+           nameSafe(info.param.b);
+}
 
 class AluTest : public ::testing::TestWithParam<AluCase>
 {
@@ -79,7 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
         AluCase{"slt", 1, 0, 0},
         AluCase{"sltu", -1, 0, 0}, // unsigned: ~0 is huge
         AluCase{"seq", 5, 5, 1},
-        AluCase{"sne", 5, 5, 0}));
+        AluCase{"sne", 5, 5, 0}),
+    caseName<AluCase>);
 
 struct FpCase
 {
@@ -88,6 +127,13 @@ struct FpCase
     double b;
     double expect;
 };
+
+/** GetParam() text in test listings: "fadd.d(1.5, 2.25)". */
+void
+PrintTo(const FpCase &c, std::ostream *os)
+{
+    *os << c.op << "(" << c.a << ", " << c.b << ")";
+}
 
 class FpTest : public ::testing::TestWithParam<FpCase>
 {
@@ -114,7 +160,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FpCase{"fle.d", 2.0, 2.0,
                              std::bit_cast<double>(Value(1))},
                       FpCase{"feq.d", 2.0, 3.0,
-                             std::bit_cast<double>(Value(0))}));
+                             std::bit_cast<double>(Value(0))}),
+    caseName<FpCase>);
 
 TEST(MachineFp, UnaryOps)
 {

@@ -281,6 +281,19 @@ TEST(MiniJson, RejectsMalformedDocuments)
     }
 }
 
+// The parser recurses per nesting level; past a fixed depth it must
+// raise JsonError instead of overflowing the stack.
+TEST(MiniJson, RejectsNestingPastTheDepthBound)
+{
+    auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(parseJson(nested(256)));
+    EXPECT_THROW(parseJson(nested(257)), JsonError);
+    EXPECT_THROW(parseJson(std::string(2'000'000, '[')), JsonError);
+    EXPECT_THROW(parseJson(std::string(300, '{')), JsonError);
+}
+
 TEST(MiniJson, ErrorsCarryByteOffsets)
 {
     try {

@@ -1,10 +1,9 @@
 /**
  * @file
- * Experiment-engine tests: the parallel captured-trace replay path
- * must be bit-identical to the serial two-pass reference (runModel),
- * the memory-cap fallback must transparently degrade to two-pass
- * mode, captures must be shared across predictor configs, and
- * results must come back in submission order.
+ * Experiment-engine tests: the parallel engine must be bit-identical
+ * to the serial two-pass reference (runModel), pass-1 profiles must be
+ * shared across predictor configs, and results must come back in
+ * submission order.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +20,9 @@
 #include "runner/engine.hh"
 #include "runner/run_cache.hh"
 #include "runner/stage_report.hh"
-#include "runner/trace_buffer.hh"
 #include "support/env.hh"
 #include "sim/machine.hh"
+#include "sim/trace.hh"
 #include "workloads/workload.hh"
 
 namespace ppm {
@@ -133,63 +132,8 @@ TEST(TeeSink, FansOutToEverySink)
     expectSameStream(a, b);
 }
 
-TEST(CapturedTrace, ReplayMatchesLiveStream)
-{
-    const Workload &w = findWorkload("compress");
-    const Program prog = assemble(std::string(w.source), w.name);
-    const auto input = w.makeInput(kDefaultWorkloadSeed);
-
-    StreamRecorder live;
-    TraceCapture capture(prog, 1ULL << 30);
-    TeeSink tee({&live, &capture});
-    Machine m(prog, input);
-    m.run(&tee, 20'000);
-    ASSERT_FALSE(capture.overflowed());
-
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
-    EXPECT_EQ(trace->size(), live.entries.size());
-    EXPECT_GT(trace->memoryBytes(), 0u);
-
-    StreamRecorder replayed;
-    EXPECT_EQ(trace->replay(prog, replayed), trace->size());
-    EXPECT_EQ(replayed.runEnds, 1);
-    expectSameStream(live, replayed);
-}
-
-TEST(CapturedTrace, OverflowDropsBufferAndKeepsProfileIntact)
-{
-    const Workload &w = findWorkload("compress");
-    const Program prog = assemble(std::string(w.source), w.name);
-
-    ExecProfile profile(prog.textSize());
-    TraceCapture capture(prog, /*byte_cap=*/1024);
-    TeeSink tee({&profile, &capture});
-    Machine m(prog, w.makeInput(kDefaultWorkloadSeed));
-    m.run(&tee, 20'000);
-
-    EXPECT_TRUE(capture.overflowed());
-    EXPECT_EQ(capture.take(), nullptr);
-    // The tee kept profiling after the capture gave up.
-    EXPECT_EQ(profile.total(), 20'000u);
-}
-
-TEST(CapturedTrace, ReplayRejectsWrongProgram)
-{
-    const Program prog = assemble("nop\nhalt\n", "a");
-    TraceCapture capture(prog, 1ULL << 20);
-    Machine m(prog);
-    m.run(&capture, 10);
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
-
-    const Program other = assemble("nop\nnop\nhalt\n", "b");
-    StreamRecorder sink;
-    EXPECT_THROW(trace->replay(other, sink), std::runtime_error);
-}
-
-// The determinism contract: parallel scheduling + captured-trace
-// replay is bit-identical to the serial two-pass reference, across
+// The determinism contract: parallel scheduling with shared pass-1
+// profiles is bit-identical to the serial two-pass reference, across
 // workloads (incl. FP) and every predictor kind.
 TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
 {
@@ -198,7 +142,6 @@ TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
 
     EngineOptions opts;
     opts.threads = 3;
-    opts.replay = true;
     ExperimentEngine engine(opts);
 
     std::vector<ExperimentJob> jobs;
@@ -215,8 +158,6 @@ TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
         for (PredictorKind kind : kAllPredictorKinds) {
             const DpgStats ref =
                 referenceStats(findWorkload(name), cellConfig(kind));
-            EXPECT_TRUE(outcomes[i].timing.replayed)
-                << name << " cell " << i;
             EXPECT_EQ(fingerprint(outcomes[i].stats),
                       fingerprint(ref))
                 << name << " cell " << i;
@@ -225,37 +166,10 @@ TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
     }
 }
 
-// Memory-cap fallback: a run exceeding the trace cap transparently
-// degrades to two-pass mode and still matches the reference.
-TEST(ExperimentEngine, TraceCapFallbackMatchesReference)
-{
-    EngineOptions opts;
-    opts.threads = 2;
-    opts.traceByteCap = 4096;  // Far below any real run.
-    opts.replay = true;
-    ExperimentEngine engine(opts);
-
-    const Workload &w = findWorkload("gcc");
-    std::vector<ExperimentJob> jobs;
-    for (PredictorKind kind : kAllPredictorKinds)
-        jobs.push_back(engine.makeJob(w, cellConfig(kind)));
-
-    const auto outcomes = engine.run(jobs);
-    std::size_t i = 0;
-    for (PredictorKind kind : kAllPredictorKinds) {
-        EXPECT_FALSE(outcomes[i].timing.replayed) << "cell " << i;
-        EXPECT_EQ(fingerprint(outcomes[i].stats),
-                  fingerprint(referenceStats(w, cellConfig(kind))))
-            << "cell " << i;
-        ++i;
-    }
-}
-
 TEST(ExperimentEngine, CaptureSharedAcrossPredictorConfigs)
 {
     EngineOptions opts;
     opts.threads = 1;  // Serialize so hit accounting is exact.
-    opts.replay = true;
     // Sequential scheduling: this test pins the per-cell cache hit
     // accounting. The fused path's one-lookup-per-group accounting is
     // pinned in tests/test_fused.cc.
@@ -312,7 +226,6 @@ TEST(ExperimentEngine, ManyDistinctCaptureKeysStayStable)
 {
     EngineOptions opts;
     opts.threads = 4;
-    opts.replay = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("compress");
@@ -386,9 +299,9 @@ TEST(ExperimentEngine, MalformedEnvFailsLoudly)
     EXPECT_THROW(ExperimentEngine{}, EnvError);  // Below min (1).
     unsetenv("PPM_THREADS");
 
-    ASSERT_EQ(setenv("PPM_REPLAY", "maybe", 1), 0);
+    ASSERT_EQ(setenv("PPM_VERIFY", "maybe", 1), 0);
     EXPECT_THROW(ExperimentEngine{}, EnvError);
-    unsetenv("PPM_REPLAY");
+    unsetenv("PPM_VERIFY");
 }
 
 TEST(RunCache, HashCollisionReturnsRightProgram)
@@ -421,72 +334,6 @@ TEST(RunCache, HashCollisionReturnsRightProgram)
     EXPECT_EQ(counters.programHits, 1u);
 }
 
-// The memory-cap boundary: a cap equal to the final footprint keeps
-// the capture; one byte less trips the overflow on the very last
-// record. Both settings must produce bit-identical results to the
-// serial reference, serially and multi-threaded.
-TEST(ExperimentEngine, TraceCapBoundaryIsExact)
-{
-    const Workload &w = findWorkload("compress");
-    constexpr std::uint64_t budget = 5'000;
-
-    // Measure the exact footprint of this cell's capture.
-    const Program prog = assemble(std::string(w.source), w.name);
-    TraceCapture capture(prog, /*byte_cap=*/1ULL << 30);
-    Machine m(prog, w.makeInput(kDefaultWorkloadSeed));
-    m.run(&capture, budget);
-    ASSERT_FALSE(capture.overflowed());
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
-    const std::uint64_t footprint = trace->memoryBytes();
-    ASSERT_GT(footprint, 0u);
-
-    ExperimentConfig config;
-    config.maxInstrs = budget;
-    config.dpg.kind = PredictorKind::Stride2Delta;
-    const DpgStats ref = runModel(
-        prog, w.makeInput(kDefaultWorkloadSeed), config);
-
-    for (const unsigned threads : {1u, 4u}) {
-        for (const std::uint64_t cap : {footprint, footprint - 1}) {
-            EngineOptions opts;
-            opts.threads = threads;
-            opts.traceByteCap = cap;
-            opts.replay = true;
-            ExperimentEngine engine(opts);
-            const auto outcomes =
-                engine.run({engine.makeJob(w, config)});
-            ASSERT_EQ(outcomes.size(), 1u);
-            // Exactly at the footprint: fits, so the replay path runs.
-            // One byte below: overflow on the last record, two-pass
-            // fallback.
-            EXPECT_EQ(outcomes[0].timing.replayed, cap == footprint)
-                << "cap=" << cap << " threads=" << threads;
-            EXPECT_EQ(fingerprint(outcomes[0].stats), fingerprint(ref))
-                << "cap=" << cap << " threads=" << threads;
-        }
-    }
-}
-
-TEST(ExperimentEngine, ReplayDisableForcesTwoPass)
-{
-    EngineOptions opts;
-    opts.threads = 1;
-    opts.replay = false;
-    ExperimentEngine engine(opts);
-
-    const Workload &w = findWorkload("compress");
-    const auto outcomes =
-        engine.run({engine.makeJob(
-            w, cellConfig(PredictorKind::LastValue))});
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_FALSE(outcomes[0].timing.replayed);
-    EXPECT_EQ(
-        fingerprint(outcomes[0].stats),
-        fingerprint(referenceStats(
-            w, cellConfig(PredictorKind::LastValue))));
-}
-
 TEST(ExperimentEngine, StageReportCarriesSchemaAndTotals)
 {
     EngineOptions opts;
@@ -500,7 +347,7 @@ TEST(ExperimentEngine, StageReportCarriesSchemaAndTotals)
     std::ostringstream json;
     writeBenchJson(json, engine);
     const std::string doc = json.str();
-    EXPECT_NE(doc.find("\"schema\":\"ppm-bench-timing-v1\""),
+    EXPECT_NE(doc.find("\"schema\":\"ppm-bench-timing-v2\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"threads\":2"), std::string::npos);
     EXPECT_NE(doc.find("\"workload\":\"compress\""),
@@ -531,13 +378,14 @@ TEST(RunCache, RetainedHitPromotesCaptureOutOfRetentionTier)
     // in-flight capture — forcing a recompute and double-counting
     // capture_evictions against undercounted retained bytes.
     RunCache cache;
-    // Trace-less results carry the 4096-byte bookkeeping overhead
-    // only, so one entry exactly fills the budget and any second
-    // retained entry forces an eviction — fully deterministic.
+    // Each entry is charged its profile's bytes (8 per static
+    // instruction): a 512-instruction profile exactly fills the
+    // budget and any second retained entry forces an eviction — fully
+    // deterministic.
     cache.setRetentionBytes(4096);
     auto compute = [] {
         CaptureResult r;
-        r.profile = std::make_unique<ExecProfile>(1);
+        r.profile = std::make_unique<ExecProfile>(512);
         return r;
     };
     int dummyA = 0;
@@ -581,14 +429,14 @@ TEST(RunCache, RetainedHitPromotesCaptureOutOfRetentionTier)
 
 TEST(RunCache, RetentionAccountingSurvivesConcurrentHammer)
 {
-    // 8 client threads hammer an engine whose retention budget is far
-    // below a single capture, so every release triggers an eviction
+    // 8 client threads hammer an engine whose retention budget is
+    // below a single profile, so every release triggers an eviction
     // scan while other threads hold hits on the same keys. Outcomes
     // must stay byte-identical and the byte accounting must come back
     // exact once the engine drains.
     EngineOptions opts;
     opts.threads = 4;
-    opts.captureRetentionBytes = 4096;
+    opts.captureRetentionBytes = 1;
     ExperimentEngine engine(opts);
     const Workload &w = findWorkload("compress");
 
@@ -636,7 +484,7 @@ TEST(RunCache, RetentionAccountingSurvivesConcurrentHammer)
         }
     }
 
-    // Every capture outweighs the 4 KiB budget, so a drained cache
+    // Every profile outweighs the 1-byte budget, so a drained cache
     // retains nothing — any residue is exactly the double-count /
     // undercount drift the promote-on-hit fix closes (a u64
     // underflow would show up as an astronomically large value).

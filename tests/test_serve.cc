@@ -443,6 +443,31 @@ TEST(ServeDaemon, EnforcesPerRequestBudgets)
     server.serveUntilStopped();
 }
 
+// One hostile line must not take the daemon down for every client:
+// 2,000,000 '[' bytes fit under the 8 MiB line bound, and a parser
+// recursing once per level would overflow the stack on them.
+TEST(ServeDaemon, DeeplyNestedLineGetsAnErrorAndTheDaemonSurvives)
+{
+    const std::string path = socketPath("deep");
+    Server server(testOptions(path));
+    server.start();
+
+    Client client = Client::connectUnix(path);
+    client.sendLine(std::string(2'000'000, '['));
+    const auto reply = client.recvLine(60'000);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(statusOf(*reply), "error");
+
+    client.sendLine("{\"schema\":\"ppm-serve-v1\","
+                    "\"kind\":\"ping\"}");
+    const auto pong = client.recvLine(60'000);
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(statusOf(*pong), "ok");
+
+    server.requestStop();
+    server.serveUntilStopped();
+}
+
 TEST(ServeDaemon, ShutdownRequestDrainsAndStops)
 {
     const std::string path = socketPath("shut");

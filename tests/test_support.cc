@@ -5,14 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/bit_ops.hh"
+#include "support/gzip.hh"
 #include "support/histogram.hh"
 #include "support/rng.hh"
 #include "support/sat_counter.hh"
 #include "support/string_utils.hh"
 #include "support/table_printer.hh"
+
+#ifdef PPM_HAVE_ZLIB
+#include <zlib.h>
+#endif
 
 namespace ppm {
 namespace {
@@ -270,6 +279,99 @@ TEST(TablePrinter, AlignsAndRules)
     // Header separated by a rule of dashes.
     EXPECT_NE(out.find("----"), std::string::npos);
 }
+
+// --- gzip ------------------------------------------------------------
+
+/**
+ * A scratch path unique to the running test: ctest runs discovered
+ * tests as parallel processes, so a shared fixed path would race.
+ */
+std::string
+scratchPath(const std::string &suffix)
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return std::string("/tmp/ppm_gzip_test_") + info->name() + suffix;
+}
+
+TEST(Gzip, SniffIgnoresPlainAndMissingFiles)
+{
+    const std::string plain = scratchPath(".bin");
+    {
+        std::ofstream out(plain, std::ios::binary);
+        out << "plain bytes";
+    }
+    EXPECT_FALSE(isGzipFile(plain));
+    EXPECT_FALSE(isGzipFile("/tmp/definitely_missing_ppm.bin"));
+    std::remove(plain.c_str());
+}
+
+#ifdef PPM_HAVE_ZLIB
+
+/** Read a whole file as raw bytes. */
+std::string
+slurp(const std::string &p)
+{
+    std::ifstream in(p, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** Gzip-compress @p data into the file at @p p (one member). */
+void
+gzipToFile(const std::string &data, const std::string &p,
+           std::ios::openmode mode = std::ios::trunc)
+{
+    z_stream strm{};
+    ASSERT_EQ(deflateInit2(&strm, Z_DEFAULT_COMPRESSION, Z_DEFLATED,
+                           16 + MAX_WBITS, 8, Z_DEFAULT_STRATEGY),
+              Z_OK);
+    std::vector<unsigned char> out(deflateBound(
+        &strm, static_cast<uLong>(data.size())));
+    strm.next_in = reinterpret_cast<Bytef *>(
+        const_cast<char *>(data.data()));
+    strm.avail_in = static_cast<uInt>(data.size());
+    strm.next_out = out.data();
+    strm.avail_out = static_cast<uInt>(out.size());
+    ASSERT_EQ(deflate(&strm, Z_FINISH), Z_STREAM_END);
+    const std::size_t n = out.size() - strm.avail_out;
+    deflateEnd(&strm);
+    std::ofstream f(p, std::ios::binary | mode);
+    f.write(reinterpret_cast<const char *>(out.data()),
+            static_cast<std::streamsize>(n));
+}
+
+TEST(Gzip, MultiMemberStreamsConcatenate)
+{
+    // gzip allows concatenated members (`cat a.gz b.gz`); the reader
+    // must inflate across the member boundary.
+    std::string data;
+    for (int i = 0; i < 500; ++i)
+        data += "record " + std::to_string(i) + "\n";
+    const std::string gz = scratchPath(".gz");
+    gzipToFile(data.substr(0, data.size() / 2), gz);
+    gzipToFile(data.substr(data.size() / 2), gz, std::ios::app);
+    EXPECT_TRUE(isGzipFile(gz));
+    EXPECT_EQ(gunzipFile(gz), data);
+    std::remove(gz.c_str());
+}
+
+TEST(Gzip, TruncatedStreamThrows)
+{
+    const std::string gz = scratchPath(".gz");
+    gzipToFile("payload payload payload payload", gz);
+    const std::string bytes = slurp(gz);
+    {
+        std::ofstream f(gz, std::ios::binary | std::ios::trunc);
+        f.write(bytes.data(),
+                static_cast<std::streamsize>(bytes.size() - 5));
+    }
+    EXPECT_THROW(gunzipFile(gz), std::runtime_error);
+    std::remove(gz.c_str());
+}
+
+#endif // PPM_HAVE_ZLIB
 
 } // namespace
 } // namespace ppm

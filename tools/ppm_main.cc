@@ -48,9 +48,6 @@
  *     --input v,v,...    inline input stream (run/analyze on files)
  *     --input-file F     input stream, one value per line
  *     --trace            (run) print every executed instruction
- *     --save-trace F     (run) capture the dynamic trace to F
- *     --trace-file F     (analyze) replay a captured trace instead
- *                        of simulating
  *     --report R,...     (analyze) any of: overall, gen, prop, term,
  *                        paths, trees, sequences, branches, unpred,
  *                        critical, json   (default: overall)
@@ -79,7 +76,6 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "sim/machine.hh"
-#include "sim/trace_file.hh"
 #include "support/cli_args.hh"
 #include "support/env.hh"
 #include "support/gzip.hh"
@@ -285,21 +281,9 @@ cmdRun(const CliArgs &args)
         args.intOption("max").value_or(4'000'000));
 
     TracePrinter printer;
-    std::unique_ptr<TraceWriter> writer;
-    if (const auto trace_path = args.option("save-trace"))
-        writer = std::make_unique<TraceWriter>(*trace_path, t.program);
-
     Machine m(t.program, std::move(t.input));
-    TraceSink *sink = nullptr;
-    if (writer)
-        sink = writer.get();
-    else if (args.flag("trace"))
-        sink = &printer;
-    const StopReason reason = m.run(sink, max_instrs);
-    if (writer) {
-        std::cout << "trace: " << formatCount(writer->count())
-                  << " records saved\n";
-    }
+    const StopReason reason =
+        m.run(args.flag("trace") ? &printer : nullptr, max_instrs);
 
     std::cout << (reason == StopReason::Halted
                       ? "halted"
@@ -314,6 +298,9 @@ cmdAnalyze(const CliArgs &args)
 {
     if (args.positionals().size() != 2)
         usage("analyze needs a file or workload name");
+    if (args.option("trace-file"))
+        usage("--trace-file is a client option; analyze simulates "
+              "the program");
     Target t = resolveTarget(args.positionals()[1], args);
 
     ExperimentConfig config;
@@ -329,44 +316,28 @@ cmdAnalyze(const CliArgs &args)
             args.option("predictor").value_or("context")));
     }
 
+    // The engine profiles once and feeds every requested predictor
+    // from one re-simulation (a fused pass). (t.program stays valid
+    // for the report printers below.)
+    auto program = std::make_shared<const Program>(t.program);
+    auto input = std::make_shared<const std::vector<Value>>(
+        std::move(t.input));
+    std::vector<ExperimentJob> jobs;
+    for (PredictorKind kind : kinds) {
+        ExperimentJob job;
+        job.program = program;
+        job.input = input;
+        job.config = config;
+        job.config.dpg.kind = kind;
+        job.isFloat = t.isFloat;
+        jobs.push_back(std::move(job));
+    }
     std::vector<RunResult> runs;
-    if (const auto trace_path = args.option("trace-file")) {
-        // Trace-driven: both passes replay the captured file stream.
-        for (PredictorKind kind : kinds) {
-            config.dpg.kind = kind;
-            ExecProfile profile(t.program.textSize());
-            replayTrace(*trace_path, t.program, profile);
-            DpgAnalyzer analyzer(t.program, profile, config.dpg);
-            replayTrace(*trace_path, t.program, analyzer);
-            RunResult run;
-            run.isFloat = t.isFloat;
-            run.stats = analyzer.takeStats();
-            runs.push_back(std::move(run));
-        }
-    } else {
-        // Live: the engine simulates once, captures the stream, and
-        // replays it for every requested predictor in parallel.
-        // (t.program stays valid for the report printers below.)
-        auto program = std::make_shared<const Program>(t.program);
-        auto input = std::make_shared<const std::vector<Value>>(
-            std::move(t.input));
-        std::vector<ExperimentJob> jobs;
-        for (PredictorKind kind : kinds) {
-            ExperimentJob job;
-            job.program = program;
-            job.input = input;
-            job.config = config;
-            job.config.dpg.kind = kind;
-            job.isFloat = t.isFloat;
-            jobs.push_back(std::move(job));
-        }
-        for (auto &outcome :
-             ExperimentEngine::shared().run(jobs)) {
-            RunResult run;
-            run.isFloat = outcome.isFloat;
-            run.stats = std::move(outcome.stats);
-            runs.push_back(std::move(run));
-        }
+    for (auto &outcome : ExperimentEngine::shared().run(jobs)) {
+        RunResult run;
+        run.isFloat = outcome.isFloat;
+        run.stats = std::move(outcome.stats);
+        runs.push_back(std::move(run));
     }
     const DpgStats &s = runs.front().stats;
 
@@ -658,11 +629,11 @@ cmdConverge(const CliArgs &args)
         usage("converge needs a file or workload name");
     Target t = resolveTarget(args.positionals()[1], args);
 
+    // Named, not a temporary: splitAndTrim returns views into it.
+    const std::string budgetList = args.option("budgets").value_or(
+        "500000,1000000,2000000,4000000");
     std::vector<std::uint64_t> budgets;
-    for (const auto piece : splitAndTrim(
-             args.option("budgets").value_or("500000,1000000,"
-                                             "2000000,4000000"),
-             ',')) {
+    for (const auto piece : splitAndTrim(budgetList, ',')) {
         if (piece.empty())
             continue;
         try {
@@ -1032,7 +1003,7 @@ main(int argc, char **argv)
     const CliArgs args(argc, argv,
                        {"max", "predictor", "seed", "input",
                         "input-file", "report", "window",
-                        "save-trace", "trace-file", "families",
+                        "trace-file", "families",
                         "seeds", "out", "socket", "port",
                         "max-inflight", "cap", "retain-mb",
                         "workload", "family", "json", "id",
