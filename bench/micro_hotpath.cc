@@ -20,10 +20,6 @@
  *                      one pass over the stream per cell
  *   "sweep-fused"      the same sweep through FusedAnalysisSink: one
  *                      pass over the stream drives every lane
- *   "intra-serial"     one Context cell through the serial analyzer —
- *                      the A side of the within-run scaling pair
- *   "intra-pipeline"   the same cell through IntraRunPipeline
- *                      (PPM_HOTPATH_INTRA_THREADS total threads)
  *   "analyze-full"     one Context cell, simulation-fed two-pass
  *                      analysis of the whole budget — the A side of
  *                      the phase-sampling pair (nothing recorded, so
@@ -38,9 +34,6 @@
  *   PPM_HOTPATH_INSTRS  dynamic-instruction budget per scenario
  *                       (default 1,000,000)
  *   PPM_HOTPATH_REPS    timed repetitions per scenario (default 5)
- *   PPM_HOTPATH_INTRA_THREADS
- *                       total threads for the intra-pipeline rows
- *                       (default 4, min 2)
  *   PPM_HOTPATH_SAMPLED_ONLY
  *                       nonzero: run only the analyze-full/sampled
  *                       pair (the other rows hold the recorded
@@ -70,7 +63,6 @@
 #include "asmr/assembler.hh"
 #include "dpg/dpg_analyzer.hh"
 #include "runner/fused_sink.hh"
-#include "runner/intra_pipeline.hh"
 #include "runner/sampled_run.hh"
 #include "sim/machine.hh"
 #include "sim/profiler.hh"
@@ -302,57 +294,6 @@ main(int argc, char **argv)
                   << static_cast<std::uint64_t>(fus.instrsPerSec)
                   << " instrs/sec (sweep speedup "
                   << (seq.bestSec / fus.bestSec) << "x)\n";
-
-        // Intra-run A/B: ONE Context-predictor cell, serial analyzer
-        // vs the staged intra-run pipeline (PPM_HOTPATH_INTRA_THREADS
-        // total threads, default 4). Same stream, modes interleaved
-        // per repetition, identical checksum fold — this is the
-        // within-run scaling row the engine's PPM_INTRA_THREADS knob
-        // buys, as opposed to the across-lane fusion above.
-        const unsigned intraThreads = static_cast<unsigned>(
-            envUint("PPM_HOTPATH_INTRA_THREADS", 4, /*min=*/2));
-        Scenario ser = make_sweep("intra-serial");
-        Scenario par = make_sweep("intra-pipeline");
-        ser.predictor = "context";
-        par.predictor = "context";
-        for (std::uint64_t r = 0; r < reps; ++r) {
-            DpgConfig cfg;
-            cfg.kind = PredictorKind::Context;
-            {
-                DpgAnalyzer analyzer(prog, profile, cfg);
-                const auto t0 = Clock::now();
-                feed(stream, analyzer);
-                ser.bestSec =
-                    std::min(ser.bestSec, secondsSince(t0));
-                checksum ^= analyzer.takeStats().totalElements();
-            }
-            {
-                IntraRunPipeline pipeline(prog, profile, cfg,
-                                          intraThreads);
-                const auto t0 = Clock::now();
-                feed(stream, pipeline);
-                const std::uint64_t elems =
-                    pipeline.takeStats().totalElements();
-                // takeStats() joins the stages, so the clock stops
-                // only after the last worker drains its ring slots.
-                par.bestSec =
-                    std::min(par.bestSec, secondsSince(t0));
-                checksum ^= elems;
-            }
-        }
-        for (Scenario *row : {&ser, &par}) {
-            row->instrsPerSec =
-                static_cast<double>(row->dynInstrs) / row->bestSec;
-            rows.push_back(*row);
-        }
-        std::cerr << "  " << w.name << " / context [" << ser.mode
-                  << " vs " << par.mode << " @" << intraThreads
-                  << "t]: "
-                  << static_cast<std::uint64_t>(ser.instrsPerSec)
-                  << " -> "
-                  << static_cast<std::uint64_t>(par.instrsPerSec)
-                  << " instrs/sec (intra-run speedup "
-                  << (ser.bestSec / par.bestSec) << "x)\n";
     };
 
     // Sampling A/B: ONE Context cell on the headline workload,
@@ -404,8 +345,7 @@ main(int argc, char **argv)
             {
                 const auto t0 = Clock::now();
                 const SampledResult result = runSampledAnalysis(
-                    prog, input, budget, {cfg}, sopts,
-                    /*intraThreads=*/1);
+                    prog, input, budget, {cfg}, sopts);
                 samp.bestSec =
                     std::min(samp.bestSec, secondsSince(t0));
                 samp.dynInstrs = result.timing.dynInstrs;

@@ -43,8 +43,7 @@ DpgAnalyzer::DpgAnalyzer(const Program &prog, const ExecProfile &profile,
     // Keyed per lane (the bank's output-predictor name): N analyzers
     // fed by one fused pass must not smear their pending-list or
     // influence distributions into one process-global series. Only
-    // the arc role observes list lengths — in a pipelined run the
-    // shards see every list exactly once between them.
+    // the arc role observes list lengths.
     if (role_.arcs) {
         pendingHist_ = obs::histogram("dpg.pending_arcs_per_value." +
                                       bank_.outputPredictor().name());
@@ -55,8 +54,7 @@ DpgAnalyzer::DpgAnalyzer(const Program &prog, const ExecProfile &profile,
     if (cfg_.verify) {
         if (!role_.full()) {
             // The oracle lockstep and invariant audit assume one
-            // instance sees the whole model; the engine runs verify
-            // cells on the serial path instead.
+            // instance sees the whole model.
             throw std::invalid_argument(
                 "DpgConfig::verify requires a full-role analyzer");
         }
@@ -174,9 +172,8 @@ DpgAnalyzer::regValue(RegIndex reg)
         vi.outputPredicted = false;
         vi.writeOnce = false;
         vi.unpredMask = unpredOriginBit(UnpredOrigin::Data);
-        // The arc role owns lazy D-node counting: in a pipelined run
-        // the graph role tracks the same metadata but must not count
-        // the node a second time.
+        // The arc role owns lazy D-node counting: a graph-only
+        // instance tracks the same metadata but does not count it.
         if (role_.arcs)
             ++stats_.lazyDataNodes;
     }
@@ -304,14 +301,6 @@ DpgAnalyzer::onBlock(std::span<const DynInstr> block)
     }
 }
 
-bool
-DpgAnalyzer::ownsInput(const DynInput &in) const
-{
-    return in.kind == InputKind::Reg
-               ? (in.reg % role_.shardCount) == role_.shard
-               : ((in.addr >> 3) % role_.shardCount) == role_.shard;
-}
-
 void
 DpgAnalyzer::analyzeInstr(const DynInstr &di)
 {
@@ -379,14 +368,6 @@ DpgAnalyzer::analyzeInstrImpl(const DynInstr &di, PredByte &ann)
         if constexpr (!Graph && !Arcs)
             continue; // Predict-only: no value state.
 
-        // A sharded arc instance skips foreign values *before*
-        // touching them — regValue/memValue would otherwise create
-        // state (and count lazy D nodes) the owning shard also counts.
-        if constexpr (Arcs && !Graph) {
-            if (!ownsInput(in))
-                continue;
-        }
-
         ValueInfo &vi = in.kind == InputKind::Reg
                             ? regValue(in.reg)
                             : memValue(in.addr);
@@ -403,7 +384,6 @@ DpgAnalyzer::analyzeInstrImpl(const DynInstr &di, PredByte &ann)
                 if (inv_)
                     inv_->noteDataArcRef();
             }
-            ++arcOps_;
         }
 
         if constexpr (Graph) {
@@ -572,26 +552,12 @@ DpgAnalyzer::analyzeInstrImpl(const DynInstr &di, PredByte &ann)
                             : unpred_out;
         if constexpr (Graph)
             dst.influence = scratch_;
-        if constexpr (Arcs)
-            ++arcOps_;
     };
 
-    if (di.hasRegOutput) {
-        if constexpr (Arcs && !Graph) {
-            if ((di.outReg % role_.shardCount) == role_.shard)
-                install(regs_[di.outReg]);
-        } else {
-            install(regs_[di.outReg]);
-        }
-    }
-    if (di.hasMemOutput) {
-        if constexpr (Arcs && !Graph) {
-            if (((di.outAddr >> 3) % role_.shardCount) == role_.shard)
-                install(mem_.getOrCreate(di.outAddr >> 3));
-        } else {
-            install(mem_.getOrCreate(di.outAddr >> 3));
-        }
-    }
+    if (di.hasRegOutput)
+        install(regs_[di.outReg]);
+    if (di.hasMemOutput)
+        install(mem_.getOrCreate(di.outAddr >> 3));
 }
 
 void
@@ -642,14 +608,9 @@ void
 DpgAnalyzer::analyzeAnnotatedBlock(std::span<const DynInstr> block,
                                    const PredByte *ann)
 {
-    assert(!role_.predict);
+    assert(!role_.predict && role_.graph != role_.arcs);
     const std::size_t n = block.size();
-    if (role_.graph && role_.arcs) {
-        for (std::size_t i = 0; i < n; ++i) {
-            PredByte a = ann[i];
-            analyzeInstrImpl<false, true, true>(block[i], a);
-        }
-    } else if (role_.graph) {
+    if (role_.graph) {
         for (std::size_t i = 0; i < n; ++i) {
             PredByte a = ann[i];
             analyzeInstrImpl<false, true, false>(block[i], a);
@@ -714,9 +675,8 @@ DpgAnalyzer::takeStats()
     // metrics registry. This is the analyzer's join point: counters
     // are commutative sums, so the merged totals are deterministic
     // regardless of which worker thread ran which analysis. Each
-    // tally folds from the role that owns it, so a pipelined run
-    // (one instance per stage) reports exactly what one serial
-    // instance would.
+    // tally folds from the role that owns it, so role-restricted
+    // instances never count a tally twice.
     if (obs::Registry *reg = obs::registry()) {
         auto addc = [&](const std::string &name, std::uint64_t v) {
             reg->counter(name).add(v);
@@ -745,9 +705,7 @@ DpgAnalyzer::takeStats()
             addc("dpg.instrs_analyzed", stats_.dynInstrs);
             addc("dpg.runs", 1);
             // Hot-path memory-layout telemetry (DESIGN.md Sec. 9):
-            // paged value-table footprint. The graph role's table
-            // covers every touched word (arc shards hold partitions),
-            // so it stands for the run.
+            // paged value-table footprint.
             addc("dpg.mem_pages_allocated", mem_.pagesAllocated());
             addc("dpg.mem_pages_live", mem_.livePages());
             addc("dpg.mem_pages_recycled", mem_.pagesRecycled());
@@ -767,7 +725,7 @@ DpgAnalyzer::takeStats()
                  mergeTallies_.truncations);
         }
         if (role_.arcs) {
-            // Pending-arc arena pressure: shards sum to the run.
+            // Pending-arc arena pressure.
             addc("dpg.arena_chunks", arena_.chunkCount());
             addc("dpg.arena_bytes", arena_.memoryBytes());
             addc("dpg.arena_node_high_water", arena_.highWater());

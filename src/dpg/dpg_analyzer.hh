@@ -48,12 +48,11 @@ class Histogram;
 } // namespace obs
 
 /**
- * Per-instruction predictor-outcome annotation, the hand-off between
- * the intra-run pipeline's predict stage and its bookkeeping stages
- * (runner/intra_pipeline.hh). Bits 0-2: input slot 0-2 predicted;
- * bit 3: the output (value or branch) predicted. One byte per dynamic
- * instruction fully determines every downstream bookkeeping decision,
- * which is what makes the staged run byte-identical to the serial one.
+ * Per-instruction predictor-outcome annotation, the hand-off between a
+ * predict-role analyzer and a bookkeeping-role one (see DpgRole).
+ * Bits 0-2: input slot 0-2 predicted; bit 3: the output (value or
+ * branch) predicted. One byte per dynamic instruction fully
+ * determines every downstream bookkeeping decision.
  */
 using PredByte = std::uint8_t;
 
@@ -68,8 +67,9 @@ constexpr PredByte kPredOutputBit = 1u << 3;
 /**
  * Which slice of the model one DpgAnalyzer instance maintains.
  *
- * The serial analyzer runs every role at once (the default). The
- * intra-run pipeline instead instantiates one analyzer per stage:
+ * The engine always runs every role at once (the default). Single
+ * roles exist so the per-layer cost of the model can be measured
+ * apart (perfbench's role split):
  *
  *  - predict: consult + update the PredictorBank (input/output value
  *    predictors and gshare) in stream order, emitting one PredByte
@@ -78,19 +78,13 @@ constexpr PredByte kPredOutputBit = 1u << 3;
  *    path/unpredictability statistics and influence propagation —
  *    driven by the annotations, in stream order.
  *  - arcs:    live-value pending-arc lists and ArcStats, plus lazy
- *    D-node counting. Shardable: with shardCount > 1 the instance
- *    only touches registers with reg % shardCount == shard and
- *    memory words with (addr >> 3) % shardCount == shard, so every
- *    value's whole lifecycle stays on one shard and the per-shard
- *    ArcStats sum to exactly the serial totals.
+ *    D-node counting.
  */
 struct DpgRole
 {
     bool predict = true;
     bool graph = true;
     bool arcs = true;
-    unsigned shard = 0;
-    unsigned shardCount = 1;
 
     /** Every role engaged — the serial analyzer. */
     bool full() const { return predict && graph && arcs; }
@@ -240,28 +234,6 @@ struct DpgStats
     }
 
     /**
-     * Fold another run-slice's commutative counters in: instruction
-     * and D-node counts, node/arc/branch/path/unpred statistics — all
-     * plain sums, so partial states merge in any order to the same
-     * totals. Stream-order state (sequences, trees, gshareAccuracy)
-     * is NOT merged: the intra-run pipeline keeps those on exactly
-     * one stage, so the graph-role slice already holds the full
-     * values (see runner/intra_pipeline.hh).
-     */
-    void
-    mergePartial(const DpgStats &other)
-    {
-        dynInstrs += other.dynInstrs;
-        lazyDataNodes += other.lazyDataNodes;
-        inputDataNodes += other.inputDataNodes;
-        nodes.merge(other.nodes);
-        arcs.merge(other.arcs);
-        branches.merge(other.branches);
-        paths.merge(other.paths);
-        unpred.merge(other.unpred);
-    }
-
-    /**
      * Weight this run-slice by @p k — it stands for k sampled
      * intervals of the same phase. Every counter (including
      * sequences, trees, and the gshare lookup/hit tallies) multiplies
@@ -286,18 +258,25 @@ struct DpgStats
 
     /**
      * Fold a weighted representative-interval run into this
-     * accumulator (phase-sampled merges, DESIGN.md Sec. 13). Unlike
-     * mergePartial, every statistic merges — including sequences and
-     * trees, which a sampled run scopes to one interval per lane —
-     * and gshareAccuracy is recomputed from the summed lookup/hit
-     * tallies.
+     * accumulator (phase-sampled merges, DESIGN.md Sec. 13). Every
+     * statistic is a plain sum — including sequences and trees,
+     * which a sampled run scopes to one interval per lane — so
+     * intervals merge in any order to the same totals; gshareAccuracy
+     * is recomputed from the summed lookup/hit tallies.
      */
     void
     mergeSampled(const DpgStats &other)
     {
-        mergePartial(other);
+        dynInstrs += other.dynInstrs;
+        lazyDataNodes += other.lazyDataNodes;
+        inputDataNodes += other.inputDataNodes;
+        nodes.merge(other.nodes);
+        arcs.merge(other.arcs);
+        branches.merge(other.branches);
         sequences.merge(other.sequences);
         trees.merge(other.trees);
+        paths.merge(other.paths);
+        unpred.merge(other.unpred);
         gshareLookups += other.gshareLookups;
         gshareHits += other.gshareHits;
         gshareAccuracy =
@@ -331,11 +310,10 @@ class DpgAnalyzer : public TraceSink
                 const DpgRole &role = DpgRole{});
 
     /**
-     * Role-restricted analyzer — one stage of the intra-run pipeline
-     * (see DpgRole and runner/intra_pipeline.hh). Differential
-     * verification is only supported on full-role instances; cfg.verify
-     * on a partial role is rejected with std::invalid_argument (the
-     * engine falls back to the serial analyzer under PPM_VERIFY).
+     * Role-restricted analyzer (see DpgRole). Differential
+     * verification is only supported on full-role instances;
+     * cfg.verify on a partial role is rejected with
+     * std::invalid_argument.
      */
     DpgAnalyzer(const Program &prog, const ExecProfile &profile,
                 const DpgConfig &config, const DpgRole &role);
@@ -345,9 +323,9 @@ class DpgAnalyzer : public TraceSink
     void onInstr(const DynInstr &di) override;
 
     /**
-     * Batched entry point (fused lanes, intra-run stages, imported
-     * traces): analyzes each instruction exactly as onInstr would —
-     * output is byte-identical — while prefetching the
+     * Batched entry point (fused lanes, imported traces): analyzes
+     * each instruction exactly as onInstr would — output is
+     * byte-identical — while prefetching the
      * predictor-table and value-table lines the next few
      * instructions will touch.
      */
@@ -373,7 +351,7 @@ class DpgAnalyzer : public TraceSink
     /**
      * Bookkeeping-role entry point: analyze @p block using the
      * annotations a predict-role instance produced, engaging only
-     * this instance's roles (graph and/or arcs, shard-filtered).
+     * this instance's role (graph or arcs, not both).
      */
     void analyzeAnnotatedBlock(std::span<const DynInstr> block,
                                const PredByte *ann);
@@ -394,15 +372,6 @@ class DpgAnalyzer : public TraceSink
      * stream only, excluding warm-up lookups.
      */
     void markWarmupEnd();
-
-    const DpgRole &role() const { return role_; }
-
-    /**
-     * Arc-role work items this instance performed (pending-arc
-     * appends + value installs) — the shard-imbalance signal the
-     * pipeline folds into dpg.intra_shard_ops.
-     */
-    std::uint64_t arcOps() const { return arcOps_; }
 
     /** Access to the predictor bank (for tests/ablations). */
     PredictorBank &bank() { return bank_; }
@@ -469,14 +438,12 @@ class DpgAnalyzer : public TraceSink
 
     /**
      * The role-parameterized model step. The serial path instantiates
-     * every role at once (analyzeInstr); pipeline stages instantiate
-     * their slice. Predict writes @p ann; the other roles read it.
+     * every role at once (analyzeInstr); role-restricted instances
+     * instantiate their slice. Predict writes @p ann; the other roles
+     * read it.
      */
     template <bool Predict, bool Graph, bool Arcs>
     void analyzeInstrImpl(const DynInstr &di, PredByte &ann);
-
-    /** Does this instance's arc shard own @p in's value? */
-    bool ownsInput(const DynInput &in) const;
 
     /** Warm the lines @p di will touch (block path, far stage). */
     void prefetchShallow(const DynInstr &di);
@@ -498,9 +465,6 @@ class DpgAnalyzer : public TraceSink
     /** Gshare tallies at markWarmupEnd() (0,0 when no warmup ran). */
     std::uint64_t warmupLookups_ = 0;
     std::uint64_t warmupHits_ = 0;
-
-    /** Arc-role work counter (see arcOps()). */
-    std::uint64_t arcOps_ = 0;
 
     /** Differential verification state (non-null iff cfg.verify). */
     std::unique_ptr<verify::DifferentialBank> diff_;

@@ -8,7 +8,6 @@
 
 #include "obs/obs.hh"
 #include "runner/fused_sink.hh"
-#include "runner/intra_pipeline.hh"
 #include "runner/stage_report.hh"
 #include "sim/machine.hh"
 #include "support/env.hh"
@@ -86,10 +85,6 @@ EngineOptions::withEnvFallback() const
     if (o.threads == 0) {
         o.threads = static_cast<unsigned>(
             envUint("PPM_THREADS", defaultThreads(), /*min=*/1));
-    }
-    if (o.intraThreads == 0) {
-        o.intraThreads = static_cast<unsigned>(
-            envUint("PPM_INTRA_THREADS", 1, /*min=*/1));
     }
     if (!o.verify.has_value())
         o.verify = envFlag("PPM_VERIFY", false);
@@ -185,7 +180,6 @@ ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
 {
     const EngineOptions resolved = opts.withEnvFallback();
     threads_ = resolved.threads;
-    intraThreads_ = resolved.intraThreads;
     verify_ = *resolved.verify;
     fused_ = *resolved.fused;
     sample_ = *resolved.sample;
@@ -302,25 +296,10 @@ ExperimentEngine::runJob(const ExperimentJob &job)
     obs::Span analyze_span("analyze", "runner");
     DpgConfig dpg = job.config.dpg;
     dpg.verify |= verify_;
-    // Differential verification audits the full per-instruction state
-    // and therefore keeps the serial analyzer regardless of
-    // PPM_INTRA_THREADS.
-    const bool intra = intraThreads_ > 1 && !dpg.verify;
     // Pass 2 re-simulates the deterministic stream pass 1 profiled.
-    auto feed = [&](TraceSink &sink) {
-        Machine m(prog, *job.input);
-        m.run(&sink, job.config.maxInstrs);
-    };
-    if (intra) {
-        IntraRunPipeline pipeline(prog, *ref.result->profile, dpg,
-                                  intraThreads_);
-        feed(pipeline);
-        out.stats = pipeline.takeStats();
-    } else {
-        DpgAnalyzer analyzer(prog, *ref.result->profile, dpg);
-        feed(analyzer);
-        out.stats = analyzer.takeStats();
-    }
+    DpgAnalyzer analyzer(prog, *ref.result->profile, dpg);
+    Machine(prog, *job.input).run(&analyzer, job.config.maxInstrs);
+    out.stats = analyzer.takeStats();
     out.timing.analyzeSec = secondsSince(t1);
     return out;
 }
@@ -338,7 +317,7 @@ ExperimentEngine::runFusedJobs(
     // key) must not skip any lane — each still gets its own analyzer.
     RunCache::CaptureRef ref = captureFor(lead);
 
-    FusedAnalysisSink sink(intraThreads_);
+    FusedAnalysisSink sink;
     for (const ExperimentJob *job : group) {
         DpgConfig dpg = job->config.dpg;
         dpg.verify |= verify_;
@@ -407,8 +386,7 @@ ExperimentEngine::runSampledJobs(
         obsSimulations_->add();
     SampledResult res =
         runSampledAnalysis(*lead.program, *lead.input,
-                           lead.config.maxInstrs, configs, sample_,
-                           intraThreads_);
+                           lead.config.maxInstrs, configs, sample_);
 
     std::vector<ExperimentOutcome> outs(group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {

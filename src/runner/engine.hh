@@ -53,14 +53,8 @@
  *
  * Environment knobs (resolved at engine construction; see
  * EngineOptions::fromEnv()):
- *   PPM_THREADS       worker count (default: hardware concurrency)
- *   PPM_INTRA_THREADS threads per analysis run (default 1 = serial).
- *                     > 1 runs each cell through the intra-run
- *                     pipeline (runner/intra_pipeline.hh) — and lets
- *                     a fused pass dispatch its lanes in parallel —
- *                     with byte-identical output; ignored under
- *                     PPM_VERIFY (differential verification needs
- *                     the serial analyzer)
+ *   PPM_THREADS       worker count (default: hardware concurrency);
+ *                     each analysis runs on its worker's thread
  *   PPM_FUSED=0       disable fused sweeps (one pass per cell)
  *   PPM_VERIFY=1      run every cell with differential verification:
  *                     oracle predictors in lockstep with pred/ plus
@@ -197,15 +191,6 @@ struct EngineOptions
 {
     unsigned threads = 0;
 
-    /**
-     * Threads devoted to a *single* analysis run (PPM_INTRA_THREADS;
-     * default 1 = the serial analyzer). Values > 1 pipeline each
-     * cell's block dispatch across stages (predict / graph / arc
-     * shards — see runner/intra_pipeline.hh) and let fused passes
-     * dispatch lanes in parallel; output stays byte-identical.
-     */
-    unsigned intraThreads = 0;
-
     std::optional<bool> verify;
     std::optional<bool> fused;
 
@@ -228,7 +213,7 @@ struct EngineOptions
 
     /**
      * Every knob resolved from the environment (PPM_THREADS,
-     * PPM_INTRA_THREADS, PPM_VERIFY, PPM_FUSED, PPM_SAMPLE), with the
+     * PPM_VERIFY, PPM_FUSED, PPM_SAMPLE), with the
      * documented defaults for unset variables. The single resolution
      * path shared by the engine constructor, the CLI, the serve
      * daemon, and tests — a malformed value throws EnvError naming
@@ -363,7 +348,6 @@ class ExperimentEngine
 
     RunCache &cache() { return cache_; }
     unsigned threads() const { return threads_; }
-    unsigned intraThreads() const { return intraThreads_; }
     bool verifyEnabled() const { return verify_; }
     bool fusedEnabled() const { return fused_; }
 
@@ -451,7 +435,6 @@ class ExperimentEngine
 
     RunCache cache_;
     unsigned threads_ = 1;
-    unsigned intraThreads_ = 1;
     bool verify_ = false;
     bool fused_ = true;
     bool reportAtExit_ = false;

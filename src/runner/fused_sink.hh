@@ -18,15 +18,6 @@
  * cell stays byte-identical to the sequential path (pinned by
  * tests/test_fused.cc and the golden and cross-path suites).
  *
- * With dispatchThreads > 1 (the engine passes PPM_INTRA_THREADS) and
- * more than one lane, the per-block fan-out runs on a small worker
- * pool instead: workers claim lanes from an atomic cursor and the
- * dispatching thread waits for the block's lane count to drain before
- * the next block is produced. Lane independence makes the assignment
- * of lanes to workers unobservable, so outputs stay byte-identical;
- * per-lane laneSeconds attribution is preserved because exactly one
- * worker runs a given lane for a given block.
- *
  * Stream accounting: the sink counts the instructions it delivers
  * outside warm-up, and takeStats(i) throws if lane i analyzed a
  * different number — a lane that saw a stale or torn block fails
@@ -36,14 +27,9 @@
 #ifndef PPM_RUNNER_FUSED_SINK_HH
 #define PPM_RUNNER_FUSED_SINK_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "dpg/dpg_analyzer.hh"
@@ -57,29 +43,11 @@ class FusedAnalysisSink : public TraceSink
   public:
     /**
      * Instructions per staged block: the lookahead window each lane's
-     * prefetch pipeline sees (same as IntraRunPipeline::kStageBlock).
+     * prefetch pipeline sees.
      */
     static constexpr std::size_t kStageBlock = 256;
 
-    /**
-     * Named points in a dispatch worker's loop, for the test-only
-     * sync hook (setSyncHookForTesting). Idle is reported with the
-     * sink's lock held, the other two with it released.
-     */
-    enum class SyncPoint
-    {
-        Idle,  ///< About to wait for the next block.
-        Woken, ///< Woken up, before re-taking the lock.
-        Claim, ///< Counted into a block, before claiming lanes.
-    };
-
-    /**
-     * @p dispatchThreads > 1 enables the parallel lane fan-out (the
-     * pool is sized min(dispatchThreads, laneCount) and spawned
-     * lazily, on the first multi-lane dispatch).
-     */
-    explicit FusedAnalysisSink(unsigned dispatchThreads = 1);
-    ~FusedAnalysisSink() override;
+    FusedAnalysisSink();
 
     /** Append a lane; returns its index. Lanes cannot be removed. */
     std::size_t addLane(std::unique_ptr<DpgAnalyzer> analyzer);
@@ -122,23 +90,11 @@ class FusedAnalysisSink : public TraceSink
      * Warm-up mode for sampled runs: while on, dispatched blocks go
      * through each lane's warmupBlock() (predictor training only, no
      * statistics) instead of onBlock(). Flip only between producer
-     * run() calls — dispatch is synchronous, so no block is in flight
-     * across the transition. Turning warm-up off marks every lane's
-     * warm-up end so gshare accuracy covers the measured stream only.
+     * run() calls, so no staged block straddles the transition.
+     * Turning warm-up off marks every lane's warm-up end so gshare
+     * accuracy covers the measured stream only.
      */
     void setWarmup(bool on);
-
-    /**
-     * Test seam: call @p hook at each SyncPoint of every dispatch
-     * worker, so a test can force a schedule (for example, park a
-     * woken worker until its block's barrier has passed). Install
-     * before the first block; the hook must not call into the sink
-     * from the Idle point, where the sink's lock is held.
-     */
-    void setSyncHookForTesting(std::function<void(SyncPoint)> hook)
-    {
-        syncHook_ = std::move(hook);
-    }
 
   private:
     struct Lane
@@ -153,14 +109,6 @@ class FusedAnalysisSink : public TraceSink
     /** Dispatch and clear the staging buffer, if it holds anything. */
     void flushStaged();
 
-    /** Worker-pool fan-out (dispatchThreads_ > 1, 2+ lanes). */
-    void dispatchParallel(std::span<const DynInstr> block);
-
-    /** Spawn the lane-dispatch pool once. */
-    void ensureWorkers();
-
-    void workerLoop();
-
     std::vector<Lane> lanes_;
 
     /** Staging buffer between the simulator and the lanes. */
@@ -169,31 +117,8 @@ class FusedAnalysisSink : public TraceSink
     /** Instructions dispatched outside warm-up (stream accounting). */
     std::uint64_t delivered_ = 0;
 
-    // --- parallel lane dispatch ------------------------------------
-    unsigned dispatchThreads_ = 1;
-    std::vector<std::thread> workers_;
-    std::mutex m_;
-    std::condition_variable workCv_; ///< Workers: new block or stop.
-    std::condition_variable doneCv_; ///< Dispatcher: block drained.
-    std::span<const DynInstr> current_{};
-    std::uint64_t generation_ = 0; ///< Bumped per dispatched block.
-    std::size_t lanesDone_ = 0;    ///< Lanes finished this block.
-    std::size_t busy_ = 0;         ///< Workers counted into this block.
-    std::atomic<std::size_t> nextLane_{0}; ///< Work-stealing cursor.
-    bool stop_ = false;
-
-    /**
-     * True from a block's publication until its barrier passes.
-     * Workers join a block only while it is open, so a worker woken
-     * for block g that reaches the lock after g's barrier cannot
-     * count itself into block g + 1 with g's span.
-     */
-    bool open_ = false;
-
-    /** Warm-up mode flag; workers read it under m_ per generation. */
+    /** Warm-up mode flag (see setWarmup). */
     bool warmup_ = false;
-
-    std::function<void(SyncPoint)> syncHook_;
 };
 
 } // namespace ppm

@@ -90,7 +90,7 @@ runSampledAnalysis(const Program &prog,
                    const std::vector<Value> &input,
                    std::uint64_t maxInstrs,
                    const std::vector<DpgConfig> &configs,
-                   const SampleOptions &opts, unsigned intraThreads)
+                   const SampleOptions &opts, unsigned)
 {
     assert(opts.enabled());
     const std::uint64_t L = opts.intervalLen;
@@ -194,7 +194,7 @@ runSampledAnalysis(const Program &prog,
         }
         r.timing.fastForwardSec += secondsSince(f0);
 
-        FusedAnalysisSink sink(intraThreads);
+        FusedAnalysisSink sink;
         for (const DpgConfig &config : configs) {
             DpgConfig cfg = config;
             cfg.partialStream = true;

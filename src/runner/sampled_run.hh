@@ -23,7 +23,7 @@
  *   to the warm-up start), train the analyzers' predictors on a
  *   warm-up prefix with statistics off, then analyze the
  *   representative interval itself through a fresh FusedAnalysisSink
- *   (one lane per predictor config, PPM_INTRA_THREADS-parallel).
+ *   (one lane per predictor config).
  *   Each lane's stats are scaled by the phase weight and merged, so
  *   the merged counters estimate the full run at the cost of
  *   analyzing only the representatives.
@@ -31,8 +31,8 @@
  * Determinism: the simulator is deterministic, the checkpoint chain
  * is a pure function of (program, input, budget, interval), and the
  * clustering uses a fixed-seed deterministic k-means — so a sampled
- * run's output is bit-stable across repeats and thread counts (lanes
- * are independent; see fused_sink.hh).
+ * run's output is bit-stable across repeats and engine thread counts
+ * (lanes are independent; see fused_sink.hh).
  *
  * Enabled with PPM_SAMPLE=<interval>,<warmup>,<maxphases>; off by
  * default (unset/empty), in which case the engine's classic paths
@@ -128,14 +128,15 @@ struct SampledResult
  * budget @p maxInstrs for every predictor config in @p configs
  * (lanes of one fused pass; configs must not request verify — the
  * engine routes PPM_VERIFY runs down the full path). @p opts must
- * be enabled(). @p intraThreads > 1 dispatches lanes in parallel.
+ * be enabled(). Lanes run in order on the calling thread.
  */
 SampledResult
 runSampledAnalysis(const Program &prog,
                    const std::vector<Value> &input,
                    std::uint64_t maxInstrs,
                    const std::vector<DpgConfig> &configs,
-                   const SampleOptions &opts, unsigned intraThreads);
+                   const SampleOptions &opts,
+                   unsigned /* unused; perfbench/ still passes it */ = 1);
 
 } // namespace ppm
 

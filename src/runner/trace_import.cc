@@ -38,7 +38,10 @@ parseBranchTrace(std::istream &in, const std::string &name)
         if (i >= line.size() || line[i] == '#')
             continue;
 
-        // pc field: hex with/without 0x, or decimal.
+        // pc field: hex with or without 0x; bare digits are hex too.
+        // stoull would accept a sign, so reject one here.
+        if (line[i] == '-' || line[i] == '+')
+            parseFail(name, lineNo, "signed pc field");
         std::size_t end = 0;
         Addr pc = 0;
         try {

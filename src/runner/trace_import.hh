@@ -47,8 +47,8 @@ struct ImportedTrace
 
 /**
  * Parse a text branch trace from @p in. Accepted record shape, one
- * per line: `<pc> <outcome>` with pc hex (with or without 0x) or
- * decimal, outcome in {1,0,T,N,t,n}; anything after the outcome field
+ * per line: `<pc> <outcome>` with pc hex (with or without 0x; no
+ * sign), outcome in {1,0,T,N,t,n}; anything after the outcome field
  * is ignored (ChampSim text dumps carry a target there). Blank lines
  * and `#` comments are skipped. Throws std::runtime_error with the
  * line number on malformed records or an empty trace.

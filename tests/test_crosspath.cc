@@ -75,14 +75,13 @@ serialCsv()
     return out.str();
 }
 
-/** Paths (b)-(i): the engine — sequential, fused, intra. */
+/** Paths (b)-(e): the engine — sequential and fused. */
 std::string
-engineCsv(unsigned threads, bool fused, unsigned intraThreads = 1)
+engineCsv(unsigned threads, bool fused)
 {
     EngineOptions opts;
     opts.threads = threads;
     opts.fused = fused;
-    opts.intraThreads = intraThreads;
     ExperimentEngine engine(opts);
 
     ExperimentConfig base;
@@ -126,21 +125,6 @@ TEST(CrossPath, AllPathsProduceByteIdenticalFigureCsv)
         << "serial two-pass vs single-thread fused sweep diverged";
     EXPECT_EQ(serial, fused4)
         << "serial two-pass vs 4-thread fused sweep diverged";
-}
-
-TEST(CrossPath, IntraRunPipelineProducesByteIdenticalFigureCsv)
-{
-    // PPM_INTRA_THREADS ∈ {1, 2, 4, 8} over both the per-cell path
-    // (fused off: every run goes through the intra-run pipeline) and
-    // the fused path (multi-lane groups dispatch lanes in parallel).
-    const std::string serial = serialCsv();
-    for (unsigned intra : {1u, 2u, 4u, 8u}) {
-        EXPECT_EQ(serial, engineCsv(1, /*fused=*/false, intra))
-            << "intra-run pipeline diverged at " << intra
-            << " threads";
-    }
-    EXPECT_EQ(serial, engineCsv(1, /*fused=*/true, 4))
-        << "fused sweep with parallel lane dispatch diverged";
 }
 
 } // namespace

@@ -440,6 +440,14 @@ TEST(DpgModel, MismatchedProfileThrows)
     DpgAnalyzer over(prog, profile, partial);
     Machine(prog, input).run(&over, 30'000);
     EXPECT_THROW(over.takeStats(), std::runtime_error);
+
+    // Differential verification audits the whole model, so a
+    // role-restricted analyzer refuses it.
+    DpgConfig verifying;
+    verifying.verify = true;
+    const DpgRole predictOnly{true, false, false};
+    EXPECT_THROW(DpgAnalyzer(prog, profile, verifying, predictOnly),
+                 std::invalid_argument);
 }
 
 } // namespace

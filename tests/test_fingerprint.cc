@@ -10,17 +10,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <numeric>
 #include <sstream>
 
 #include "analysis/experiment.hh"
 #include "asmr/assembler.hh"
+#include "isa/registers.hh"
 #include "runner/trace_import.hh"
 #include "sim/profiler.hh"
 #include "support/mini_json.hh"
+#include "support/rng.hh"
 #include "verify/families.hh"
 #include "verify/fingerprint.hh"
 #include "verify/fuzz_farm.hh"
 #include "verify/invariant_checker.hh"
+#include "workloads/workload.hh"
 
 namespace ppm {
 namespace {
@@ -190,12 +196,25 @@ TEST(TraceImport, RejectsMalformedRecords)
         "nonsense-pc T\n",     // bad pc
         "0x400100\n",          // missing outcome
         "0x400100 X\n",        // bad outcome letter
+        "-0x400100 T\n",       // signed pc
+        "+400100 T\n",         // signed pc
     };
     for (const char *text : kBad) {
         std::istringstream in(text);
         EXPECT_THROW(parseBranchTrace(in, "bad"),
                      std::runtime_error)
             << text;
+    }
+
+    // A signed pc is named with its line number.
+    std::istringstream in("400100 T\n-400200 T\n");
+    try {
+        parseBranchTrace(in, "bad");
+        ADD_FAILURE() << "signed pc accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("bad:2:"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -242,6 +261,77 @@ TEST(TraceImport, RoundTripsToFingerprintSchema)
         verify::fingerprintJson("trace:alt", 0, runs);
     EXPECT_TRUE(verify::validateFingerprint(parseJson(fp)).empty())
         << fp;
+}
+
+/**
+ * @p prog with r1-r63 renamed by a seeded shuffle. r0 (hardwired
+ * zero), $sp (preset by the machine) and $ra (written by jal) keep
+ * their numbers.
+ */
+Program
+renameRegisters(Program prog, std::uint64_t seed)
+{
+    std::vector<RegIndex> movable;
+    for (unsigned r = 1; r < kNumRegs; ++r) {
+        if (r != kSpReg && r != kRaReg)
+            movable.push_back(static_cast<RegIndex>(r));
+    }
+    std::vector<RegIndex> shuffled = movable;
+    Rng rng(seed);
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i)
+        std::swap(shuffled[i], shuffled[rng.nextBelow(i + 1)]);
+
+    std::array<RegIndex, kNumRegs> to{};
+    std::iota(to.begin(), to.end(), RegIndex{0});
+    for (std::size_t i = 0; i < movable.size(); ++i)
+        to[movable[i]] = shuffled[i];
+    for (Instruction &in : prog.text) {
+        in.rd = to[in.rd];
+        in.rs1 = to[in.rs1];
+        in.rs2 = to[in.rs2];
+    }
+    return prog;
+}
+
+/** Three-predictor fingerprint of @p prog over a short budget. */
+std::string
+shortFingerprint(const Program &prog, const std::vector<Value> &input)
+{
+    std::vector<DpgStats> runs;
+    for (PredictorKind kind : kAllPredictorKinds) {
+        ExperimentConfig config;
+        config.maxInstrs = 20'000;
+        config.dpg.kind = kind;
+        runs.push_back(runModel(prog, input, config));
+    }
+    return verify::fingerprintJson("renamed", 0, runs);
+}
+
+// Metamorphic check: the model reads a register number only as a
+// value-table index, so renaming registers consistently must not move
+// a single byte of any fingerprint.
+TEST(Fingerprint, RegisterRenamingLeavesEveryFingerprintUnchanged)
+{
+    auto check = [](const Program &prog,
+                    const std::vector<Value> &input) {
+        const Program renamed = renameRegisters(prog, 0x5eed);
+        const auto sameRegs = [](const Instruction &a,
+                                 const Instruction &b) {
+            return a.rd == b.rd && a.rs1 == b.rs1 && a.rs2 == b.rs2;
+        };
+        EXPECT_FALSE(std::equal(prog.text.begin(), prog.text.end(),
+                                renamed.text.begin(), sameRegs))
+            << prog.name << ": renaming moved no register";
+        EXPECT_EQ(shortFingerprint(prog, input),
+                  shortFingerprint(renamed, input))
+            << prog.name;
+    };
+    for (const Workload &w : allWorkloads()) {
+        check(assemble(std::string(w.source), w.name),
+              w.makeInput(kDefaultWorkloadSeed));
+    }
+    for (const verify::ScenarioFamily &f : verify::allFamilies())
+        check(assemble(f.generate(7), f.name), {});
 }
 
 } // namespace

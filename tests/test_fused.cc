@@ -5,19 +5,15 @@
  * and must stay byte-identical to the sequential per-cell path. Also
  * pins the coalescing rules — different budgets never coalesce, a
  * RunCache hit on the group's key skips no lane — the stage-timing
- * attribution (shared stream cost counted once, on lane 0), the
- * sink's stream accounting, and the parallel dispatch barrier.
+ * attribution (shared stream cost counted once, on lane 0) and the
+ * sink's stream accounting.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/experiment.hh"
@@ -164,130 +160,6 @@ TEST(FusedSink, TakeStatsThrowsWhenALaneSawAnotherStream)
     EXPECT_THROW(sink.takeStats(0), std::runtime_error);
     for (std::size_t i = 1; i < allKinds().size(); ++i)
         EXPECT_EQ(sink.takeStats(i).dynInstrs, kBudget) << "lane " << i;
-}
-
-/** Shared state of a forced lane-dispatch schedule (see below). */
-struct DispatchSchedule
-{
-    std::mutex mu;
-    std::condition_variable cv;
-    bool armed = true;
-    std::thread::id lateWaker;
-    bool drained = false;  ///< Block 1's dispatch returned.
-    bool settled = false;  ///< The late waker re-took the lock.
-    bool nextOpen = false; ///< The other worker joined block 2.
-    bool lateClaimed = false;
-    bool timedOut = false;
-
-    /** Wait for @p pred, bounded so a broken schedule cannot hang. */
-    template <typename Pred>
-    void
-    waitFor(std::unique_lock<std::mutex> &lock, Pred pred)
-    {
-        if (!cv.wait_for(lock, std::chrono::seconds(10), pred))
-            timedOut = true;
-    }
-};
-
-// Regression for the parallel-dispatch barrier. A worker woken for
-// block g that reaches the lock only after g's barrier has passed
-// must not join block g + 1 with g's span: when g + 1 is a partial
-// block, such a worker analyzes 256 instructions where the block
-// holds fewer. The sync hook forces that interleaving instead of
-// waiting for it: one worker parks between wake-up and lock until
-// block 1 has drained; if it then counts itself into a block, it
-// holds its claim until block 2 opens and claims before the other
-// worker does.
-TEST(FusedSink, LateWakerNeverClaimsTheNextBlockWithAStaleSpan)
-{
-    const Workload &w = findWorkload("compress");
-    const Program prog = assemble(std::string(w.source), w.name);
-    // One full block, then a partial one.
-    constexpr std::uint64_t kTwoBlocks =
-        FusedAnalysisSink::kStageBlock + 100;
-    RecordSink rec(prog);
-    Machine(prog, w.makeInput(kDefaultWorkloadSeed))
-        .run(&rec, kTwoBlocks);
-    ASSERT_EQ(rec.stream.size(), kTwoBlocks);
-
-    using Point = FusedAnalysisSink::SyncPoint;
-    DispatchSchedule sched;
-
-    FusedAnalysisSink sink(/*dispatchThreads=*/2);
-    for (PredictorKind kind :
-         {PredictorKind::LastValue, PredictorKind::Context}) {
-        DpgConfig cfg;
-        cfg.kind = kind;
-        sink.addLane(
-            std::make_unique<DpgAnalyzer>(prog, rec.profile, cfg));
-    }
-    sink.setSyncHookForTesting([&](Point point) {
-        std::unique_lock<std::mutex> lock(sched.mu);
-        const bool late =
-            std::this_thread::get_id() == sched.lateWaker;
-        switch (point) {
-          case Point::Woken:
-            if (sched.armed) {
-                sched.armed = false;
-                sched.lateWaker = std::this_thread::get_id();
-                sched.waitFor(lock, [&] { return sched.drained; });
-            }
-            break;
-          case Point::Idle:
-            // Back to waiting without joining a block.
-            if (late && sched.drained && !sched.settled) {
-                sched.settled = true;
-                sched.cv.notify_all();
-            }
-            break;
-          case Point::Claim:
-            if (!sched.drained)
-                break;
-            if (late && !sched.settled) {
-                // Counted into a block that already drained: keep its
-                // span until the next block opens, then claim first.
-                sched.settled = true;
-                sched.cv.notify_all();
-                sched.waitFor(lock, [&] { return sched.nextOpen; });
-                sched.lateClaimed = true;
-            } else if (late) {
-                sched.lateClaimed = true;
-            } else {
-                sched.nextOpen = true;
-                sched.cv.notify_all();
-                sched.waitFor(lock,
-                              [&] { return sched.lateClaimed; });
-            }
-            sched.cv.notify_all();
-            break;
-        }
-    });
-
-    // Block 1: one worker parks at wake-up, the other drains it.
-    for (std::size_t i = 0; i < FusedAnalysisSink::kStageBlock; ++i)
-        sink.onInstr(rec.stream[i]);
-    {
-        std::unique_lock<std::mutex> lock(sched.mu);
-        sched.drained = true;
-        sched.cv.notify_all();
-        sched.waitFor(lock, [&] { return sched.settled; });
-    }
-    // Block 2, the partial one, is published by the run's end.
-    for (std::size_t i = FusedAnalysisSink::kStageBlock;
-         i < rec.stream.size(); ++i)
-        sink.onInstr(rec.stream[i]);
-    sink.onRunEnd();
-
-    {
-        std::lock_guard<std::mutex> lock(sched.mu);
-        EXPECT_FALSE(sched.timedOut);
-    }
-    EXPECT_EQ(sink.delivered(), kTwoBlocks);
-    for (std::size_t i = 0; i < sink.laneCount(); ++i) {
-        DpgStats stats;
-        EXPECT_NO_THROW(stats = sink.takeStats(i)) << "lane " << i;
-        EXPECT_EQ(stats.dynInstrs, sink.delivered()) << "lane " << i;
-    }
 }
 
 // End to end: a fused engine and a sequential engine over the same

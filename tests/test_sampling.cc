@@ -357,7 +357,7 @@ testSampleOptions()
     return opts;
 }
 
-TEST(SampledRun, DeterministicAcrossRepeatsAndThreadCounts)
+TEST(SampledRun, DeterministicAcrossRepeats)
 {
     const Workload &w = findWorkload("m88ksim");
     const Program prog = assemble(std::string(w.source), w.name);
@@ -366,26 +366,26 @@ TEST(SampledRun, DeterministicAcrossRepeatsAndThreadCounts)
     configs[0].kind = PredictorKind::Context;
     configs[1].kind = PredictorKind::Stride2Delta;
 
-    const SampledResult serial = runSampledAnalysis(
-        prog, input, kSampleBudget, configs, testSampleOptions(), 1);
-    const SampledResult threaded = runSampledAnalysis(
-        prog, input, kSampleBudget, configs, testSampleOptions(), 2);
+    const SampledResult first = runSampledAnalysis(
+        prog, input, kSampleBudget, configs, testSampleOptions());
+    const SampledResult again = runSampledAnalysis(
+        prog, input, kSampleBudget, configs, testSampleOptions());
 
-    ASSERT_EQ(serial.stats.size(), 2u);
-    ASSERT_EQ(threaded.stats.size(), 2u);
-    for (std::size_t i = 0; i < serial.stats.size(); ++i) {
-        EXPECT_EQ(fingerprint(serial.stats[i]),
-                  fingerprint(threaded.stats[i]));
+    ASSERT_EQ(first.stats.size(), 2u);
+    ASSERT_EQ(again.stats.size(), 2u);
+    for (std::size_t i = 0; i < first.stats.size(); ++i) {
+        EXPECT_EQ(fingerprint(first.stats[i]),
+                  fingerprint(again.stats[i]));
     }
 
     // Weighted conservation: merged counters stand for the full
     // budget, while only a fraction was actually analyzed.
-    EXPECT_EQ(serial.stats[0].dynInstrs, kSampleBudget);
-    EXPECT_EQ(serial.timing.dynInstrs, kSampleBudget);
-    EXPECT_LT(serial.timing.sampledInstrs, kSampleBudget);
-    EXPECT_GT(serial.timing.sampledInstrs, 0u);
-    EXPECT_GT(serial.timing.phases, 0u);
-    EXPECT_GT(serial.timing.checkpointBytes, 0u);
+    EXPECT_EQ(first.stats[0].dynInstrs, kSampleBudget);
+    EXPECT_EQ(first.timing.dynInstrs, kSampleBudget);
+    EXPECT_LT(first.timing.sampledInstrs, kSampleBudget);
+    EXPECT_GT(first.timing.sampledInstrs, 0u);
+    EXPECT_GT(first.timing.phases, 0u);
+    EXPECT_GT(first.timing.checkpointBytes, 0u);
 }
 
 TEST(SampledRun, TracksFullModelWithinFigureTolerance)
@@ -397,7 +397,7 @@ TEST(SampledRun, TracksFullModelWithinFigureTolerance)
     std::vector<DpgConfig> configs(1);
     configs[0].kind = PredictorKind::Context;
     const SampledResult sampled = runSampledAnalysis(
-        prog, input, kSampleBudget, configs, testSampleOptions(), 1);
+        prog, input, kSampleBudget, configs, testSampleOptions());
 
     ExperimentConfig full;
     full.maxInstrs = kSampleBudget;

@@ -53,6 +53,7 @@
  *                        critical, json   (default: overall)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -298,9 +299,6 @@ cmdAnalyze(const CliArgs &args)
 {
     if (args.positionals().size() != 2)
         usage("analyze needs a file or workload name");
-    if (args.option("trace-file"))
-        usage("--trace-file is a client option; analyze simulates "
-              "the program");
     Target t = resolveTarget(args.positionals()[1], args);
 
     ExperimentConfig config;
@@ -726,7 +724,7 @@ cmdConverge(const CliArgs &args)
             Machine m(t.program, t.input);
             m.run(&profile, budget);
         }
-        FusedAnalysisSink sink(1);
+        FusedAnalysisSink sink;
         for (const DpgConfig &cfg : configs) {
             sink.addLane(std::make_unique<DpgAnalyzer>(
                 t.program, profile, cfg));
@@ -744,7 +742,7 @@ cmdConverge(const CliArgs &args)
 
         const auto s0 = Clock::now();
         SampledResult sampled = runSampledAnalysis(
-            t.program, t.input, budget, configs, sopts, 1);
+            t.program, t.input, budget, configs, sopts);
         const double sampledSec =
             std::chrono::duration<double>(Clock::now() - s0)
                 .count();
@@ -995,6 +993,54 @@ cmdWorkloads()
     return 0;
 }
 
+/** One subcommand: its entry point and every option it reads. */
+struct Command
+{
+    std::string name;
+    int (*run)(const CliArgs &);
+    std::vector<std::string> options;
+};
+
+/**
+ * The subcommand table. Each list names every option its command
+ * reads (the target options seed, input and input-file come from
+ * resolveTarget); main rejects anything else before the command runs.
+ */
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"asm", cmdAsm, {}},
+        {"disasm", cmdDisasm, {}},
+        {"run", cmdRun, {"seed", "input", "input-file", "max", "trace"}},
+        {"analyze", cmdAnalyze,
+         {"seed", "input", "input-file", "max", "all-predictors",
+          "predictor", "report"}},
+        {"graph", cmdGraph,
+         {"seed", "input", "input-file", "window", "predictor"}},
+        {"workloads", [](const CliArgs &) { return cmdWorkloads(); },
+         {}},
+        {"metrics", cmdMetrics,
+         {"seed", "input", "input-file", "max", "predictor", "json"}},
+        {"fuzz", cmdFuzz,
+         {"list", "families", "seeds", "slice", "no-verify", "out"}},
+        {"import", cmdImport, {"verify", "out"}},
+        {"converge", cmdConverge,
+         {"seed", "input", "input-file", "budgets", "interval",
+          "warmup", "phases", "threshold", "predictor", "csv",
+          "out"}},
+        {"serve", cmdServe,
+         {"socket", "port", "max-inflight", "max", "cap",
+          "retain-mb"}},
+        {"client", cmdClient,
+         {"socket", "port", "json", "ping", "stats", "shutdown",
+          "workload", "family", "trace-file", "predictor", "max",
+          "seed", "count", "id"}},
+        {"version", [](const CliArgs &) { return cmdVersion(); }, {}},
+    };
+    return table;
+}
+
 } // namespace
 
 int
@@ -1014,35 +1060,26 @@ main(int argc, char **argv)
     if (args.positionals().empty())
         usage();
 
+    const std::string &name = args.positionals()[0];
+    const auto cmd =
+        std::find_if(commands().begin(), commands().end(),
+                     [&](const Command &c) { return c.name == name; });
+    if (cmd == commands().end())
+        usage("unknown command '" + name + "'");
+    // Querying an option marks it consumed, so what is left over is
+    // every option this command does not read.
+    for (const std::string &opt : cmd->options)
+        args.flag(opt);
+    const std::vector<std::string> unknown = args.unconsumedOptions();
+    if (!unknown.empty()) {
+        std::string list;
+        for (const std::string &opt : unknown)
+            list += (list.empty() ? "--" : ", --") + opt;
+        usage(name + " does not take " + list);
+    }
+
     try {
-        const std::string &cmd = args.positionals()[0];
-        if (cmd == "asm")
-            return cmdAsm(args);
-        if (cmd == "disasm")
-            return cmdDisasm(args);
-        if (cmd == "run")
-            return cmdRun(args);
-        if (cmd == "analyze")
-            return cmdAnalyze(args);
-        if (cmd == "graph")
-            return cmdGraph(args);
-        if (cmd == "workloads")
-            return cmdWorkloads();
-        if (cmd == "metrics")
-            return cmdMetrics(args);
-        if (cmd == "fuzz")
-            return cmdFuzz(args);
-        if (cmd == "import")
-            return cmdImport(args);
-        if (cmd == "converge")
-            return cmdConverge(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "client")
-            return cmdClient(args);
-        if (cmd == "version")
-            return cmdVersion();
-        usage("unknown command '" + cmd + "'");
+        return cmd->run(args);
     } catch (const EnvError &e) {
         std::cerr << "environment error: " << e.what() << "\n";
         return 2;

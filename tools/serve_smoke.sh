@@ -33,6 +33,17 @@ set +e
 PPM_THREADS=notanumber "$PPM" analyze compress --max 1000 \
     >/dev/null 2>&1
 [ $? -eq 2 ] || fail "malformed env must exit 2"
+# Unknown options fail before any work, naming the option.
+"$PPM" analyze compress --max 1000 --all-predictor \
+    >/dev/null 2>"$WORKDIR/err"
+[ $? -eq 2 ] || fail "a misspelled flag must exit 2"
+grep -q -- "--all-predictor" "$WORKDIR/err" \
+    || fail "the error must name --all-predictor"
+"$PPM" analyze compress --max 1000 --bogus-flag 7 \
+    >/dev/null 2>"$WORKDIR/err"
+[ $? -eq 2 ] || fail "an unknown flag must exit 2"
+grep -q -- "--bogus-flag" "$WORKDIR/err" \
+    || fail "the error must name --bogus-flag"
 set -e
 
 # --- start the daemon ------------------------------------------------
