@@ -9,7 +9,7 @@
  * the predictor configs sharing that key run as lanes of one
  * re-simulation. Every binary prints a stage-timing summary to
  * stderr and, when PPM_BENCH_JSON=<path> is set, writes the
- * machine-readable "ppm-bench-timing-v2" report at exit.
+ * machine-readable "ppm-bench-timing-v3" report at exit.
  *
  * PPM_QUICK=1 in the environment runs shortened workloads for fast
  * iteration; the default reproduces the full configuration.

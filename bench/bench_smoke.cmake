@@ -1,7 +1,8 @@
 # bench_smoke: run one figure binary through the parallel experiment
 # engine (quick mode, 2 threads) and validate the emitted
-# "ppm-bench-timing-v2" stage-timing JSON, so the engine's profile
-# caching and fused-pass path is exercised in tier-1. Invoked by ctest as
+# "ppm-bench-timing-v3" stage-timing JSON, so the engine's profile
+# caching and multi-lane passes are exercised in tier-1. Invoked by
+# ctest as
 #   cmake -DBENCH_BIN=<fig5_overall> -DOUT=<json path> -P bench_smoke.cmake
 
 if(NOT BENCH_BIN OR NOT OUT)
@@ -12,7 +13,6 @@ file(REMOVE "${OUT}")
 
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E env PPM_QUICK=1 PPM_THREADS=2
-            PPM_FUSED=1
             "PPM_BENCH_JSON=${OUT}" "PPM_BENCH_LABEL=bench_smoke"
             ${BENCH_BIN}
     RESULT_VARIABLE rv
@@ -29,7 +29,7 @@ file(READ "${OUT}" doc)
 # string(JSON) fatal-errors on malformed JSON or missing keys, so each
 # GET below is itself a schema assertion.
 string(JSON schema GET "${doc}" schema)
-if(NOT schema STREQUAL "ppm-bench-timing-v2")
+if(NOT schema STREQUAL "ppm-bench-timing-v3")
     message(FATAL_ERROR "bench_smoke: bad schema '${schema}'")
 endif()
 
@@ -69,26 +69,22 @@ if(NOT sims EQUAL 12)
             "(capture sharing broken)")
 endif()
 
-# shared_stages: per-group costs reported apart from per-lane analyze
+# shared_stages: per-pass costs reported apart from per-lane analyze
 # time (no double counting across lanes). The 3 predictor cells per
-# workload coalesce into one lane group: one stream pass per workload.
-string(JSON fgroups GET "${doc}" shared_stages fused_groups)
-string(JSON flanes GET "${doc}" shared_stages fused_lanes)
+# workload coalesce into one pass: one stream pass per workload.
+string(JSON passes GET "${doc}" shared_stages passes)
 string(JSON dispatch GET "${doc}" shared_stages dispatch_s)
-if(NOT fgroups EQUAL 12)
-    message(FATAL_ERROR
-            "bench_smoke: expected 12 fused groups, got ${fgroups}")
-endif()
-if(NOT flanes EQUAL 36)
-    message(FATAL_ERROR
-            "bench_smoke: expected 36 fused lanes, got ${flanes}")
+if(NOT passes EQUAL 12)
+    message(FATAL_ERROR "bench_smoke: expected 12 passes, got ${passes}")
 endif()
 if(dispatch LESS 0)
     message(FATAL_ERROR "bench_smoke: negative dispatch_s")
 endif()
-string(JSON row0_fused GET "${doc}" runs 0 fused)
-if(NOT (row0_fused STREQUAL "ON" OR row0_fused STREQUAL "true"))
-    message(FATAL_ERROR "bench_smoke: runs[0] not marked fused")
+string(JSON row0_lanes GET "${doc}" runs 0 lanes)
+if(NOT row0_lanes EQUAL 3)
+    message(FATAL_ERROR
+            "bench_smoke: runs[0] ran in a ${row0_lanes}-lane pass, "
+            "expected 3")
 endif()
 
 string(JSON instrs GET "${doc}" totals dyn_instrs)
@@ -108,5 +104,5 @@ endif()
 
 message(STATUS
         "bench_smoke ok: ${nruns} runs, ${sims} simulations, "
-        "${fgroups} fused passes, wall ${wall}s "
+        "${passes} passes, wall ${wall}s "
         "(first cell: ${row0_workload}/${row0_predictor})")

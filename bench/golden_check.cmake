@@ -8,8 +8,8 @@
 #
 # Goldens are regenerated with tools/update_goldens; see TESTING.md.
 # The model is integer-exact and the engine returns results in
-# submission order, so the bytes are stable across thread counts,
-# engine paths, and machines.
+# submission order, so the bytes are stable across thread counts and
+# machines.
 
 if(NOT BENCH_BIN OR NOT GOLDEN_DIR OR NOT WORK_DIR OR NOT EXPECT)
     message(FATAL_ERROR
@@ -29,18 +29,9 @@ if(OBS)
                 "PPM_METRICS=${WORK_DIR}/metrics.json")
 endif()
 
-# With -DFUSED=OFF the driver runs the sequential one-pass-per-cell
-# engine path (PPM_FUSED=0); fused is the default. Either way the CSVs
-# must stay byte-identical — lane multiplexing may never perturb model
-# output.
-set(fused_env "")
-if(DEFINED FUSED AND NOT FUSED)
-    set(fused_env "PPM_FUSED=0")
-endif()
-
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E env PPM_QUICK=1
-            "PPM_CSV_DIR=${WORK_DIR}" ${obs_env} ${fused_env}
+            "PPM_CSV_DIR=${WORK_DIR}" ${obs_env}
             ${BENCH_BIN}
     RESULT_VARIABLE rv
     OUTPUT_QUIET)

@@ -266,13 +266,13 @@ main(int argc, char **argv)
                     checksum ^= cell->takeStats().totalElements();
             }
             {
-                FusedAnalysisSink sink;
+                std::vector<DpgConfig> configs;
                 for (PredictorKind kind : kinds) {
                     DpgConfig cfg;
                     cfg.kind = kind;
-                    sink.addLane(std::make_unique<DpgAnalyzer>(
-                        prog, profile, cfg));
+                    configs.push_back(cfg);
                 }
+                FusedAnalysisSink sink(prog, profile, configs);
                 const auto t0 = Clock::now();
                 feed(stream, sink);
                 fus.bestSec =

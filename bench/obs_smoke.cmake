@@ -4,7 +4,9 @@
 # well-formed JSON, Chrome-trace shape, span nesting per thread, and
 # counter consistency against the span counts. Invoked by ctest as
 #   cmake -DBENCH_BIN=<driver> -DCHECK_BIN=<ppm_obs_check>
-#         -DWORK_DIR=<scratch> -P obs_smoke.cmake
+#         -DWORK_DIR=<scratch> [-DSAMPLE=<interval,warmup,maxphases>]
+#         -P obs_smoke.cmake
+# where SAMPLE, when set, runs the driver with that PPM_SAMPLE.
 
 if(NOT BENCH_BIN OR NOT CHECK_BIN OR NOT WORK_DIR)
     message(FATAL_ERROR
@@ -16,10 +18,15 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 set(trace "${WORK_DIR}/trace.json")
 set(metrics "${WORK_DIR}/metrics.json")
 
+set(sample_env "")
+if(SAMPLE)
+    set(sample_env "PPM_SAMPLE=${SAMPLE}")
+endif()
+
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E env PPM_QUICK=1
             "PPM_TRACE_JSON=${trace}" "PPM_METRICS=${metrics}"
-            ${BENCH_BIN}
+            ${sample_env} ${BENCH_BIN}
     RESULT_VARIABLE rv
     OUTPUT_QUIET)
 if(NOT rv EQUAL 0)

@@ -88,8 +88,6 @@ EngineOptions::withEnvFallback() const
     }
     if (!o.verify.has_value())
         o.verify = envFlag("PPM_VERIFY", false);
-    if (!o.fused.has_value())
-        o.fused = envFlag("PPM_FUSED", true);
     if (!o.sample.has_value())
         o.sample = SampleOptions::fromEnv();
     return o;
@@ -181,7 +179,6 @@ ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
     const EngineOptions resolved = opts.withEnvFallback();
     threads_ = resolved.threads;
     verify_ = *resolved.verify;
-    fused_ = *resolved.fused;
     sample_ = *resolved.sample;
     if (resolved.captureRetentionBytes > 0)
         cache_.setRetentionBytes(resolved.captureRetentionBytes);
@@ -189,8 +186,8 @@ ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
     obsJobs_ = obs::counter("runner.jobs_completed");
     obsBatches_ = obs::counter("runner.batches");
     obsSimulations_ = obs::counter("runner.simulations");
-    obsFusedGroups_ = obs::counter("runner.fused_groups");
-    obsFusedLanes_ = obs::counter("runner.fused_lanes");
+    obsPasses_ = obs::counter("runner.passes");
+    obsSampledPasses_ = obs::counter("runner.sampled_passes");
     obsWorkerBusyUs_ = obs::counter("runner.worker_busy_us");
     obsCancelled_ = obs::counter("runner.requests_cancelled");
     obsQueueDepth_ = obs::gauge("runner.queue_depth");
@@ -277,150 +274,74 @@ ExperimentEngine::captureFor(const ExperimentJob &job)
     });
 }
 
-ExperimentOutcome
-ExperimentEngine::runJob(const ExperimentJob &job)
-{
-    obs::Span job_span("job", "runner");
-    const Program &prog = *job.program;
-
-    RunCache::CaptureRef ref = captureFor(job);
-
-    ExperimentOutcome out;
-    out.isFloat = job.isFloat;
-    out.timing.assembleSec = job.assembleSec;
-    out.timing.simulateSec = ref.result->simulateSec;
-    out.timing.captureShared = ref.hit;
-    out.timing.dynInstrs = ref.result->dynInstrs;
-
-    const auto t1 = Clock::now();
-    obs::Span analyze_span("analyze", "runner");
-    DpgConfig dpg = job.config.dpg;
-    dpg.verify |= verify_;
-    // Pass 2 re-simulates the deterministic stream pass 1 profiled.
-    DpgAnalyzer analyzer(prog, *ref.result->profile, dpg);
-    Machine(prog, *job.input).run(&analyzer, job.config.maxInstrs);
-    out.stats = analyzer.takeStats();
-    out.timing.analyzeSec = secondsSince(t1);
-    return out;
-}
-
 std::vector<ExperimentOutcome>
-ExperimentEngine::runFusedJobs(
-    const std::vector<const ExperimentJob *> &group)
+ExperimentEngine::runPass(const std::vector<StatePtr> &group)
 {
-    obs::Span job_span("fused_job", "runner");
-    const ExperimentJob &lead = *group.front();
+    obs::Span span("pass", "runner");
+    if (obsPasses_)
+        obsPasses_->add();
+    const ExperimentJob &lead = group.front()->job;
     const Program &prog = *lead.program;
 
-    // All lanes share one CaptureKey, so any member can run the
-    // profile; a cache hit here (a previous request profiled this
-    // key) must not skip any lane — each still gets its own analyzer.
-    RunCache::CaptureRef ref = captureFor(lead);
-
-    FusedAnalysisSink sink;
-    for (const ExperimentJob *job : group) {
-        DpgConfig dpg = job->config.dpg;
-        dpg.verify |= verify_;
-        sink.addLane(std::make_unique<DpgAnalyzer>(
-            prog, *ref.result->profile, dpg));
-    }
-
-    const auto t1 = Clock::now();
-    {
-        // One re-simulation feeds every lane; the sink stages blocks.
-        obs::Span span("fused_resim", "runner");
-        Machine m(prog, *lead.input);
-        m.run(&sink, lead.config.maxInstrs);
-    }
-    const double passSec = secondsSince(t1);
-
-    double laneSum = 0.0;
-    for (std::size_t i = 0; i < group.size(); ++i)
-        laneSum += sink.laneSeconds(i);
-
-    std::vector<ExperimentOutcome> outs(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        ExperimentOutcome &out = outs[i];
-        out.isFloat = group[i]->isFloat;
-        out.stats = sink.takeStats(i);
-        out.timing.assembleSec = group[i]->assembleSec;
-        out.timing.simulateSec = ref.result->simulateSec;
-        // Lane 0 stands for the cell that would have run the profile;
-        // the rest are sharers, mirroring the sequential accounting.
-        out.timing.captureShared = i == 0 ? ref.hit : true;
-        out.timing.dynInstrs = ref.result->dynInstrs;
-        out.timing.analyzeSec = sink.laneSeconds(i);
-        out.timing.fused = true;
-        out.timing.fusedLanes = static_cast<unsigned>(group.size());
-        out.timing.laneIndex = static_cast<unsigned>(i);
-        if (i == 0) {
-            out.timing.dispatchSec =
-                passSec > laneSum ? passSec - laneSum : 0.0;
-        }
-    }
-
-    if (obsFusedGroups_)
-        obsFusedGroups_->add();
-    if (obsFusedLanes_)
-        obsFusedLanes_->add(group.size());
-    return outs;
-}
-
-std::vector<ExperimentOutcome>
-ExperimentEngine::runSampledJobs(
-    const std::vector<const ExperimentJob *> &group)
-{
-    obs::Span job_span("sampled_job", "runner");
-    const ExperimentJob &lead = *group.front();
-
-    // No RunCache entry: the profiling pass streams into checkpoints
-    // and interval signatures directly, and the measurement pass
-    // re-produces only the sampled sub-streams. runClaimed's
-    // unconditional key release is a no-op for never-captured keys.
+    // Differential verification (PPM_VERIFY or a job's own request)
+    // audits every instruction, so a verified group runs unsampled.
     std::vector<DpgConfig> configs;
     configs.reserve(group.size());
-    for (const ExperimentJob *job : group)
-        configs.push_back(job->config.dpg);
+    bool verify = false;
+    for (const StatePtr &state : group) {
+        DpgConfig dpg = state->job.config.dpg;
+        dpg.verify |= verify_;
+        verify |= dpg.verify;
+        configs.push_back(dpg);
+    }
+    const bool sampled = sample_.enabled() && !verify;
 
-    if (obsSimulations_)
-        obsSimulations_->add();
-    SampledResult res =
-        runSampledAnalysis(*lead.program, *lead.input,
-                           lead.config.maxInstrs, configs, sample_);
+    SampledResult res;
+    bool captureHit = false;
+    if (sampled) {
+        if (obsSampledPasses_)
+            obsSampledPasses_->add();
+        res = runSampledAnalysis(prog, *lead.input,
+                                 lead.config.maxInstrs, configs,
+                                 sample_);
+    } else {
+        // All lanes share one CaptureKey, so the lead's profile
+        // serves every lane; a cache hit skips pass 1, never a lane.
+        RunCache::CaptureRef ref = captureFor(lead);
+        res = analyzeStream(prog, *ref.result->profile, configs,
+                            [&](FusedAnalysisSink &sink) {
+                                Machine(prog, *lead.input)
+                                    .run(&sink, lead.config.maxInstrs);
+                            });
+        res.timing.simulateSec = ref.result->simulateSec;
+        res.timing.dynInstrs = ref.result->dynInstrs;
+        captureHit = ref.hit;
+    }
 
     std::vector<ExperimentOutcome> outs(group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {
+        const ExperimentJob &job = group[i]->job;
         ExperimentOutcome &out = outs[i];
-        out.isFloat = group[i]->isFloat;
+        StageTiming &t = out.timing;
+        out.isFloat = job.isFloat;
         out.stats = std::move(res.stats[i]);
-        out.timing.assembleSec = group[i]->assembleSec;
-        out.timing.simulateSec = res.timing.simulateSec;
-        out.timing.captureShared = i != 0;
-        out.timing.dynInstrs = res.timing.dynInstrs;
-        out.timing.analyzeSec = res.laneSeconds[i];
-        out.timing.sampled = true;
-        out.timing.phases = res.timing.phases;
-        out.timing.sampledInstrs = res.timing.sampledInstrs;
-        if (group.size() > 1) {
-            out.timing.fused = true;
-            out.timing.fusedLanes =
-                static_cast<unsigned>(group.size());
-            out.timing.laneIndex = static_cast<unsigned>(i);
-        }
+        t.assembleSec = job.assembleSec;
+        t.simulateSec = res.timing.simulateSec;
+        // Lane 0 stands for the cell that ran pass 1 (a sampled pass
+        // always runs its own); the other lanes share it.
+        t.captureShared = i == 0 ? captureHit : true;
+        t.dynInstrs = res.timing.dynInstrs;
+        t.analyzeSec = res.laneSeconds[i];
+        t.lanes = static_cast<unsigned>(group.size());
+        t.laneIndex = static_cast<unsigned>(i);
+        t.sampled = sampled;
+        t.phases = res.timing.phases;
         if (i == 0) {
-            // Shared per-group costs live on lane 0, mirroring the
-            // fused accounting (see StageTiming::dispatchSec).
-            out.timing.checkpointSec = res.timing.checkpointSec;
-            out.timing.fastForwardSec = res.timing.fastForwardSec;
-            out.timing.dispatchSec = res.timing.dispatchSec;
+            t.dispatchSec = res.timing.dispatchSec;
+            t.checkpointSec = res.timing.checkpointSec;
+            t.fastForwardSec = res.timing.fastForwardSec;
+            t.sampledInstrs = res.timing.sampledInstrs;
         }
-    }
-
-    if (group.size() > 1) {
-        if (obsFusedGroups_)
-            obsFusedGroups_->add();
-        if (obsFusedLanes_)
-            obsFusedLanes_->add(group.size());
     }
     return outs;
 }
@@ -461,14 +382,13 @@ ExperimentEngine::enqueueLocked(ExperimentJob job, bool recordHistory)
 }
 
 RequestHandle
-ExperimentEngine::submit(ExperimentRequest request)
+ExperimentEngine::submit(ExperimentJob job)
 {
     StatePtr state;
     {
         std::lock_guard<std::mutex> lock(queueMutex_);
         ensureWorkersLocked();
-        state = enqueueLocked(std::move(request.job),
-                              /*recordHistory=*/true);
+        state = enqueueLocked(std::move(job), /*recordHistory=*/true);
     }
     workCv_.notify_one();
     return RequestHandle(state);
@@ -508,17 +428,15 @@ ExperimentEngine::claimLocked()
     std::vector<StatePtr> group;
     group.push_back(pending_.front());
     pending_.pop_front();
-    if (fused_) {
-        // The coalescing window: every still-pending request with the
-        // lead's CaptureKey joins this pass, in submission order.
-        const CaptureKey key = keyOf(group.front()->job);
-        for (auto it = pending_.begin(); it != pending_.end();) {
-            if (keyOf((*it)->job) == key) {
-                group.push_back(*it);
-                it = pending_.erase(it);
-            } else {
-                ++it;
-            }
+    // The coalescing window: every still-pending request with the
+    // lead's CaptureKey joins this pass, in submission order.
+    const CaptureKey key = keyOf(group.front()->job);
+    for (auto it = pending_.begin(); it != pending_.end();) {
+        if (keyOf((*it)->job) == key) {
+            group.push_back(*it);
+            it = pending_.erase(it);
+        } else {
+            ++it;
         }
     }
     const auto now = Clock::now();
@@ -539,31 +457,11 @@ ExperimentEngine::runClaimed(const std::vector<StatePtr> &group)
     const auto t0 = Clock::now();
     std::vector<ExperimentOutcome> outs;
     std::exception_ptr error;
-    // Per-job verify requests (not just PPM_VERIFY) also force the
-    // full path: differential verification needs the whole stream.
-    const bool anyVerify = std::any_of(
-        group.begin(), group.end(), [](const StatePtr &state) {
-            return state->job.config.dpg.verify;
-        });
     try {
-        if (samplingEnabled() && !anyVerify) {
-            std::vector<const ExperimentJob *> jobs;
-            jobs.reserve(group.size());
-            for (const StatePtr &state : group)
-                jobs.push_back(&state->job);
-            outs = runSampledJobs(jobs);
-        } else if (group.size() == 1) {
-            outs.push_back(runJob(group.front()->job));
-        } else {
-            std::vector<const ExperimentJob *> jobs;
-            jobs.reserve(group.size());
-            for (const StatePtr &state : group)
-                jobs.push_back(&state->job);
-            outs = runFusedJobs(jobs);
-        }
+        outs = runPass(group);
     } catch (...) {
-        // A fused pass fails as a unit: every lane's cell reports the
-        // same exception.
+        // A pass fails as a unit: every lane's cell reports the same
+        // exception.
         error = std::current_exception();
     }
     const double busySec = secondsSince(t0);

@@ -7,7 +7,7 @@
  * binary, or one request a serve daemon admitted. The engine owns a
  * persistent pool of worker threads fed from a pending queue:
  *
- *   submit(ExperimentRequest)  -> RequestHandle   admit one cell
+ *   submit(ExperimentJob)      -> RequestHandle   admit one cell
  *   submitAll(jobs)            -> handles         admit atomically
  *   RequestHandle::wait()      -> ExperimentOutcome (blocks)
  *   RequestHandle::cancel()                        unqueue if pending
@@ -17,32 +17,29 @@
  * order exception rethrown after the batch drains), so every existing
  * caller keeps working unchanged.
  *
- * Per cell the engine:
- *
- *   1. assembles the program once per process (RunCache),
- *   2. profiles once per (program, input, budget) — pass 1, whose
- *      ExecProfile the RunCache shares across predictor configs,
- *   3. re-simulates the deterministic stream into the DpgAnalyzer
- *      (pass 2).
- *
- * Fused sweeps (default; see fused_sink.hh and DESIGN.md Sec. 10/11):
- * when a worker claims the front of the pending queue it also claims
- * every other *pending* request sharing the same CaptureKey — same
- * (program, input, instruction budget), differing only in predictor
- * configuration — and analyzes the whole group in ONE pass: the
- * stream is simulated once and each block is dispatched to every
- * lane. The coalescing
+ * Every claim runs as one pass (see fused_sink.hh and DESIGN.md
+ * Sec. 10/11): when a worker claims the front of the pending queue
+ * it also claims every other *pending* request sharing the same
+ * CaptureKey — same (program, input, instruction budget), differing
+ * only in predictor configuration — and each claimed cell becomes one
+ * lane of a FusedAnalysisSink fed by a single stream. The coalescing
  * window is therefore the pending queue at claim time: a batch
- * enqueued atomically by run()/submitAll() coalesces exactly as the
- * old batch engine did, while a serve daemon's requests coalesce
- * opportunistically with whatever is still queued. Cells with
- * different budgets never coalesce because their CaptureKeys differ.
- * PPM_FUSED=0 restores one-pass-per-cell scheduling for bisection.
+ * enqueued atomically by run()/submitAll() coalesces exactly as one
+ * batch, while a serve daemon's requests coalesce opportunistically
+ * with whatever is still queued. Cells with different budgets never
+ * coalesce because their CaptureKeys differ; a lone cell is a
+ * one-lane pass. The pass's stream is either
+ *
+ *   - the full stream: the program is assembled once per process and
+ *     profiled once per CaptureKey (pass 1, whose ExecProfile the
+ *     RunCache shares across passes), then re-simulated into the
+ *     lanes (pass 2); or
+ *   - the phase-sampled stream of runSampledAnalysis (PPM_SAMPLE).
  *
  * Each cell's analysis is bit-identical to the serial two-pass
- * runModel() path because the simulator is deterministic and fused
- * lanes are fully independent (asserted in tests/test_runner.cc,
- * tests/test_fused.cc and tests/test_engine_api.cc). The analyzer
+ * runModel() path because the simulator is deterministic and lanes
+ * are fully independent (asserted in tests/test_runner.cc,
+ * tests/test_fused.cc and tests/test_engine_api.cc). Each lane
  * checks that pass 2 saw exactly the instructions pass 1 profiled.
  *
  * Captures (pass-1 profiles) are reference-counted across in-flight
@@ -54,14 +51,13 @@
  * Environment knobs (resolved at engine construction; see
  * EngineOptions::fromEnv()):
  *   PPM_THREADS       worker count (default: hardware concurrency);
- *                     each analysis runs on its worker's thread
- *   PPM_FUSED=0       disable fused sweeps (one pass per cell)
+ *                     each pass runs on its worker's thread
  *   PPM_VERIFY=1      run every cell with differential verification:
  *                     oracle predictors in lockstep with pred/ plus
  *                     the DPG invariant audit (see src/verify/,
  *                     TESTING.md); any divergence throws
  *   PPM_SAMPLE=<interval>,<warmup>,<maxphases>
- *                     phase-sampled scheduling (see
+ *                     phase-sampled passes (see
  *                     runner/sampled_run.hh and DESIGN.md Sec. 13):
  *                     profile + checkpoint the full budget once,
  *                     analyze one weighted representative interval
@@ -70,8 +66,8 @@
  *   PPM_BENCH_JSON    path: the shared engine writes a stage-timing
  *                     JSON report at process exit
  *   PPM_TRACE_JSON    path: hierarchical spans (assemble / simulate /
- *                     analyze / job / run_batch) are captured and
- *                     exported as Chrome-trace JSON at process exit
+ *                     pass / run_batch) are captured and exported as
+ *                     Chrome-trace JSON at process exit
  *   PPM_METRICS       path or "-": the metrics registry is dumped at
  *                     process exit (see obs/obs.hh)
  *
@@ -103,31 +99,33 @@
 
 namespace ppm {
 
-/** Wall-time breakdown of one experiment cell. */
+/**
+ * Wall-time breakdown of one experiment cell: one lane of a pass.
+ * Costs the pass pays once (stream production, checkpoints,
+ * fast-forward) are attributed to lane 0 only, so summing any field
+ * over cells never double-counts (see stage_report.cc).
+ */
 struct StageTiming
 {
     double assembleSec = 0.0;  ///< 0 when the program came from cache.
     double simulateSec = 0.0;  ///< Pass-1 profile (of the cell that ran it).
-    double analyzeSec = 0.0;   ///< Model pass (pass-2 re-simulation).
+
+    /** Wall seconds inside this lane's own analysis calls. */
+    double analyzeSec = 0.0;
 
     /** The capture was reused from the cache (another cell ran it). */
     bool captureShared = false;
 
-    /** This cell ran as one lane of a fused multi-cell pass. */
-    bool fused = false;
+    /** Lane count of this cell's pass. */
+    unsigned lanes = 0;
 
-    /** Lane count of the fused pass (0 when not fused). */
-    unsigned fusedLanes = 0;
-
-    /** This cell's lane index within the fused pass. */
+    /** This cell's lane index within its pass. */
     unsigned laneIndex = 0;
 
     /**
-     * Shared decode/staging cost of the fused pass (pass wall minus
-     * the per-lane analyze times), attributed once, on lane 0. For
-     * fused cells analyzeSec is the lane's own dispatch time only, so
-     * summing analyzeSec across lanes never double-counts the shared
-     * stream production (see stage_report.cc's shared_stages).
+     * Stream production of the pass (pass wall minus the per-lane
+     * analyze times): the pass-2 re-simulation and block staging, or
+     * a sampled pass's pass-B stream. Lane 0 only.
      */
     double dispatchSec = 0.0;
 
@@ -138,24 +136,24 @@ struct StageTiming
 
     // --- phase sampling (PPM_SAMPLE; runner/sampled_run.hh) --------
 
-    /** This cell ran through the phase-sampled scheduler. */
+    /** This cell ran as a lane of a phase-sampled pass. */
     bool sampled = false;
 
     /** Phases the clusterer found (0 when not sampled). */
     unsigned phases = 0;
 
-    /** Instructions analyzed in pass B (warm-up + representatives). */
+    /**
+     * Instructions the sampled pass analyzed in pass B (warm-up +
+     * representatives). Lane 0 only.
+     */
     std::uint64_t sampledInstrs = 0;
 
-    /**
-     * Checkpoint capture (dirty-page copy) seconds of the profiling
-     * pass; like dispatchSec, attributed once, on lane 0.
-     */
+    /** Checkpoint capture (dirty-page copy) seconds. Lane 0 only. */
     double checkpointSec = 0.0;
 
     /**
      * Pass-B fast-forward seconds (page-delta restores + gap
-     * simulation); attributed once, on lane 0.
+     * simulation). Lane 0 only.
      */
     double fastForwardSec = 0.0;
 };
@@ -172,12 +170,6 @@ struct ExperimentJob
     double assembleSec = 0.0;
 };
 
-/** One admission into the engine: a cell plus request metadata. */
-struct ExperimentRequest
-{
-    ExperimentJob job;
-};
-
 /** One cell's result. */
 struct ExperimentOutcome
 {
@@ -192,7 +184,6 @@ struct EngineOptions
     unsigned threads = 0;
 
     std::optional<bool> verify;
-    std::optional<bool> fused;
 
     /**
      * When > 0, released captures stay cached in an LRU bounded to
@@ -213,7 +204,7 @@ struct EngineOptions
 
     /**
      * Every knob resolved from the environment (PPM_THREADS,
-     * PPM_VERIFY, PPM_FUSED, PPM_SAMPLE), with the
+     * PPM_VERIFY, PPM_SAMPLE), with the
      * documented defaults for unset variables. The single resolution
      * path shared by the engine constructor, the CLI, the serve
      * daemon, and tests — a malformed value throws EnvError naming
@@ -234,7 +225,7 @@ struct EngineOptions
 enum class RequestStatus
 {
     Pending,   ///< Queued; no worker has claimed it yet.
-    Running,   ///< Claimed by a worker (possibly as a fused lane).
+    Running,   ///< Claimed by a worker as a lane of a pass.
     Done,      ///< Completed; outcome available.
     Failed,    ///< Completed with an exception (wait() rethrows).
     Cancelled, ///< Unqueued by cancel() before any worker claimed it.
@@ -307,10 +298,10 @@ class ExperimentEngine
 
     /**
      * Admit one request into the pending queue and return its handle.
-     * Workers claim continuously; the request may coalesce into a
-     * fused pass with other pending requests sharing its CaptureKey.
+     * Workers claim continuously; the request may coalesce into one
+     * pass with other pending requests sharing its CaptureKey.
      */
-    RequestHandle submit(ExperimentRequest request);
+    RequestHandle submit(ExperimentJob job);
 
     /**
      * Admit every job atomically — all enter the pending queue before
@@ -349,15 +340,8 @@ class ExperimentEngine
     RunCache &cache() { return cache_; }
     unsigned threads() const { return threads_; }
     bool verifyEnabled() const { return verify_; }
-    bool fusedEnabled() const { return fused_; }
 
     const SampleOptions &sampleOptions() const { return sample_; }
-
-    /** Sampling is configured and not overridden by PPM_VERIFY. */
-    bool samplingEnabled() const
-    {
-        return sample_.enabled() && !verify_;
-    }
 
     /** Requests admitted and not yet terminal (pending + running). */
     unsigned inflight() const;
@@ -387,28 +371,19 @@ class ExperimentEngine
     friend class RequestHandle;
     using StatePtr = std::shared_ptr<detail::RequestState>;
 
-    ExperimentOutcome runJob(const ExperimentJob &job);
-
     /** Get-or-run the pass-1 profile for @p job's CaptureKey. */
     RunCache::CaptureRef captureFor(const ExperimentJob &job);
 
     /**
-     * Run a coalesced group of jobs — same CaptureKey, different
-     * predictor configs — through one FusedAnalysisSink pass.
-     * Outcomes are returned in @p group order.
+     * Run a claimed group — same CaptureKey, one lane per request —
+     * as one pass. The stream is the phase-sampled one when sampling
+     * is configured and no lane verifies (no RunCache entry: the
+     * profiling pass streams straight into checkpoints), else the
+     * re-simulation after the cached pass-1 profile. Outcomes are
+     * returned in @p group order.
      */
     std::vector<ExperimentOutcome>
-    runFusedJobs(const std::vector<const ExperimentJob *> &group);
-
-    /**
-     * Run a claimed group through the phase-sampled scheduler
-     * (samplingEnabled()): no RunCache entry — the profiling pass
-     * streams straight into checkpoints and interval signatures and
-     * the measurement pass analyzes representatives only. Outcomes
-     * are returned in @p group order.
-     */
-    std::vector<ExperimentOutcome>
-    runSampledJobs(const std::vector<const ExperimentJob *> &group);
+    runPass(const std::vector<StatePtr> &group);
 
     /** Enqueue one request; queueMutex_ must be held. */
     StatePtr enqueueLocked(ExperimentJob job, bool recordHistory);
@@ -417,9 +392,9 @@ class ExperimentEngine
     void ensureWorkersLocked();
 
     /**
-     * Pop the front request plus — in fused mode — every other
-     * pending request sharing its CaptureKey (the coalescing
-     * window); queueMutex_ must be held.
+     * Pop the front request plus every other pending request sharing
+     * its CaptureKey (the coalescing window); queueMutex_ must be
+     * held.
      */
     std::vector<StatePtr> claimLocked();
 
@@ -436,7 +411,6 @@ class ExperimentEngine
     RunCache cache_;
     unsigned threads_ = 1;
     bool verify_ = false;
-    bool fused_ = true;
     bool reportAtExit_ = false;
     SampleOptions sample_{};
 
@@ -444,8 +418,8 @@ class ExperimentEngine
     obs::Counter *obsJobs_ = nullptr;
     obs::Counter *obsBatches_ = nullptr;
     obs::Counter *obsSimulations_ = nullptr;
-    obs::Counter *obsFusedGroups_ = nullptr;
-    obs::Counter *obsFusedLanes_ = nullptr;
+    obs::Counter *obsPasses_ = nullptr;
+    obs::Counter *obsSampledPasses_ = nullptr;
     obs::Counter *obsWorkerBusyUs_ = nullptr;
     obs::Counter *obsCancelled_ = nullptr;
     obs::Gauge *obsQueueDepth_ = nullptr;

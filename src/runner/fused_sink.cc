@@ -18,16 +18,17 @@ secondsSince(Clock::time_point t0)
 
 } // namespace
 
-FusedAnalysisSink::FusedAnalysisSink()
+FusedAnalysisSink::FusedAnalysisSink(const Program &prog,
+                                     const ExecProfile &profile,
+                                     const std::vector<DpgConfig> &configs)
 {
     staged_.reserve(kStageBlock);
-}
-
-std::size_t
-FusedAnalysisSink::addLane(std::unique_ptr<DpgAnalyzer> analyzer)
-{
-    lanes_.push_back(Lane{std::move(analyzer), 0.0});
-    return lanes_.size() - 1;
+    lanes_.reserve(configs.size());
+    for (const DpgConfig &config : configs) {
+        lanes_.push_back(
+            Lane{std::make_unique<DpgAnalyzer>(prog, profile, config),
+                 0.0});
+    }
 }
 
 void
@@ -97,6 +98,27 @@ FusedAnalysisSink::onRunEnd()
         lane.analyzer->onRunEnd();
         lane.seconds += secondsSince(t0);
     }
+}
+
+SampledResult
+analyzeStream(const Program &prog, const ExecProfile &profile,
+              const std::vector<DpgConfig> &configs,
+              const std::function<void(FusedAnalysisSink &)> &produce)
+{
+    FusedAnalysisSink sink(prog, profile, configs);
+    const auto t0 = Clock::now();
+    produce(sink);
+    const double passSec = secondsSince(t0);
+
+    SampledResult r;
+    double laneSum = 0.0;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        r.stats.push_back(sink.takeStats(i));
+        r.laneSeconds.push_back(sink.laneSeconds(i));
+        laneSum += sink.laneSeconds(i);
+    }
+    r.timing.dispatchSec = passSec > laneSum ? passSec - laneSum : 0.0;
+    return r;
 }
 
 } // namespace ppm

@@ -1,22 +1,22 @@
 /**
  * @file
- * Fused sweep sink: one stream pass drives every predictor cell.
+ * The one pass shape: a single stream drives N analyzer lanes.
  *
- * A figure sweep is a matrix of (workload, predictor) cells whose
- * rows share the identical deterministic instruction stream — only
- * the predictor configuration differs. FusedAnalysisSink multiplexes
- * that stream across N independent DpgAnalyzer lanes so the stream is
- * simulated exactly once per row instead of once per cell. The
- * simulator delivers one instruction at a time; the sink stages them
- * into 256-instruction blocks and dispatches each block to every lane
- * in submission order, so each lane's own onBlock decides whether to
- * run its prefetch pipeline.
+ * Every analysis outside runModel's serial reference is a pass: one
+ * deterministic instruction stream (an engine re-simulation, a
+ * sampled representative, an imported branch trace) feeding one
+ * DpgAnalyzer lane per predictor configuration. FusedAnalysisSink
+ * multiplexes that stream so it is produced exactly once per pass
+ * instead of once per cell. The simulator delivers one instruction
+ * at a time; the sink stages them into 256-instruction blocks and
+ * dispatches each block to every lane in lane order, so each lane's
+ * own onBlock decides whether to run its prefetch pipeline.
  *
  * Lanes are fully independent — separate PredictorBank, value tables,
  * pending-arc arenas, influence scratch — so interleaving blocks
  * between lanes on one thread cannot perturb any lane's output; every
- * cell stays byte-identical to the sequential path (pinned by
- * tests/test_fused.cc and the golden and cross-path suites).
+ * cell stays byte-identical to runModel (pinned by tests/test_fused.cc
+ * and the golden and cross-path suites).
  *
  * Stream accounting: the sink counts the instructions it delivers
  * outside warm-up, and takeStats(i) throws if lane i analyzed a
@@ -29,10 +29,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "dpg/dpg_analyzer.hh"
+#include "runner/sampled_run.hh"
 #include "sim/trace.hh"
 
 namespace ppm {
@@ -47,10 +49,14 @@ class FusedAnalysisSink : public TraceSink
      */
     static constexpr std::size_t kStageBlock = 256;
 
-    FusedAnalysisSink();
-
-    /** Append a lane; returns its index. Lanes cannot be removed. */
-    std::size_t addLane(std::unique_ptr<DpgAnalyzer> analyzer);
+    /**
+     * The lane builder: one DpgAnalyzer lane per entry of @p configs,
+     * in order, each classifying against @p profile (pass 1 of the
+     * stream this sink will carry). The runner, serve and CLI layers
+     * build their analyzers nowhere else.
+     */
+    FusedAnalysisSink(const Program &prog, const ExecProfile &profile,
+                      const std::vector<DpgConfig> &configs);
 
     std::size_t laneCount() const { return lanes_.size(); }
 
@@ -77,9 +83,9 @@ class FusedAnalysisSink : public TraceSink
     std::uint64_t delivered() const { return delivered_; }
 
     /**
-     * Machine::run emits one instruction at a time, so the sink
-     * stages its own kStageBlock-sized batches before dispatching to
-     * the lanes.
+     * Producers emit one instruction at a time, so the sink stages
+     * its own kStageBlock-sized batches before dispatching to the
+     * lanes.
      */
     void onInstr(const DynInstr &di) override;
 
@@ -111,7 +117,7 @@ class FusedAnalysisSink : public TraceSink
 
     std::vector<Lane> lanes_;
 
-    /** Staging buffer between the simulator and the lanes. */
+    /** Staging buffer between the producer and the lanes. */
     std::vector<DynInstr> staged_;
 
     /** Instructions dispatched outside warm-up (stream accounting). */
@@ -120,6 +126,20 @@ class FusedAnalysisSink : public TraceSink
     /** Warm-up mode flag (see setWarmup). */
     bool warmup_ = false;
 };
+
+/**
+ * Run one stream through fresh lanes: a sink with one lane per
+ * config over @p profile, fed by @p produce (which must end the
+ * run). Returns every lane's statistics and seconds in config order,
+ * with the stream-production residual (pass wall minus the lane
+ * seconds) in timing.dispatchSec. A full pass is one call, with the
+ * pass-1 fields of timing (simulateSec, dynInstrs) left to the
+ * caller's profile; a sampled pass is one call per representative.
+ */
+SampledResult
+analyzeStream(const Program &prog, const ExecProfile &profile,
+              const std::vector<DpgConfig> &configs,
+              const std::function<void(FusedAnalysisSink &)> &produce);
 
 } // namespace ppm
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
 #include "obs/obs.hh"
@@ -99,6 +98,11 @@ runSampledAnalysis(const Program &prog,
     r.stats.resize(configs.size());
     r.laneSeconds.assign(configs.size(), 0.0);
 
+    // Every lane analyzes a sub-stream of the profiled run.
+    std::vector<DpgConfig> laneConfigs = configs;
+    for (DpgConfig &config : laneConfigs)
+        config.partialStream = true;
+
     // --- Pass A: profile + checkpoint the full budget --------------
     //
     // One full-budget simulation with cheap sinks only. Checkpoints
@@ -114,7 +118,12 @@ runSampledAnalysis(const Program &prog,
     CheckpointStore store;
 
     {
-        obs::Span span("sample_profile", "runner");
+        // Pass A is this pass's pass-1 simulation: counted with its
+        // span here, so direct callers balance the same identity as
+        // the engine (span(simulate) == runner.simulations).
+        obs::Span span("simulate", "runner");
+        if (obs::Counter *c = obs::counter("runner.simulations"))
+            c->add();
         const auto t0 = Clock::now();
         std::uint64_t remaining = maxInstrs;
         while (remaining > 0 && !machine.halted()) {
@@ -145,13 +154,10 @@ runSampledAnalysis(const Program &prog,
 
     if (plan.reps.empty()) {
         // Empty stream (zero budget / instant halt): finalize fresh
-        // analyzers so callers still get well-formed statistics.
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            DpgConfig cfg = configs[i];
-            cfg.partialStream = true;
-            DpgAnalyzer analyzer(prog, profile, cfg);
-            r.stats[i] = analyzer.takeStats();
-        }
+        // lanes so callers still get well-formed statistics.
+        r.stats = analyzeStream(prog, profile, laneConfigs,
+                                [](FusedAnalysisSink &) {})
+                      .stats;
         return r;
     }
 
@@ -194,37 +200,26 @@ runSampledAnalysis(const Program &prog,
         }
         r.timing.fastForwardSec += secondsSince(f0);
 
-        FusedAnalysisSink sink;
-        for (const DpgConfig &config : configs) {
-            DpgConfig cfg = config;
-            cfg.partialStream = true;
-            sink.addLane(
-                std::make_unique<DpgAnalyzer>(prog, profile, cfg));
-        }
-
-        const auto m0 = Clock::now();
-        if (repStart > pos) {
-            sink.setWarmup(true);
-            const std::uint64_t before = mb.instrCount();
-            mb.run(&sink, repStart - pos);
-            pos += mb.instrCount() - before;
-        }
-        sink.setWarmup(false);
-        {
-            const std::uint64_t before = mb.instrCount();
-            mb.run(&sink, rep.instrs);
-            pos += mb.instrCount() - before;
-        }
-        const double passSec = secondsSince(m0);
+        SampledResult measured = analyzeStream(
+            prog, profile, laneConfigs, [&](FusedAnalysisSink &sink) {
+                if (repStart > pos) {
+                    sink.setWarmup(true);
+                    const std::uint64_t before = mb.instrCount();
+                    mb.run(&sink, repStart - pos);
+                    pos += mb.instrCount() - before;
+                }
+                sink.setWarmup(false);
+                const std::uint64_t before = mb.instrCount();
+                mb.run(&sink, rep.instrs);
+                pos += mb.instrCount() - before;
+            });
         r.timing.sampledInstrs += pos - warmStart;
+        r.timing.dispatchSec += measured.timing.dispatchSec;
         curB = static_cast<std::size_t>(pos / L);
 
-        double laneSum = 0.0;
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            const double laneSec = sink.laneSeconds(i);
-            laneSum += laneSec;
-            r.laneSeconds[i] += laneSec;
-            DpgStats s = sink.takeStats(i);
+            r.laneSeconds[i] += measured.laneSeconds[i];
+            DpgStats &s = measured.stats[i];
             s.scaleBy(rep.weight);
             if (first)
                 r.stats[i] = std::move(s);
@@ -232,8 +227,6 @@ runSampledAnalysis(const Program &prog,
                 r.stats[i].mergeSampled(s);
         }
         first = false;
-        r.timing.dispatchSec +=
-            passSec > laneSum ? passSec - laneSum : 0.0;
     }
 
     return r;

@@ -35,8 +35,8 @@
  * (lanes are independent; see fused_sink.hh).
  *
  * Enabled with PPM_SAMPLE=<interval>,<warmup>,<maxphases>; off by
- * default (unset/empty), in which case the engine's classic paths
- * run and output is byte-identical to an unsampled build.
+ * default (unset/empty), in which case the engine's passes analyze
+ * the full stream and output is byte-identical to an unsampled build.
  */
 
 #ifndef PPM_RUNNER_SAMPLED_RUN_HH
@@ -91,9 +91,9 @@ struct SampledPassTiming
     double fastForwardSec = 0.0;
 
     /**
-     * Pass-B stream production for warm-up + measured intervals
-     * (wall minus the per-lane analyze seconds), the sampled
-     * analogue of a fused pass's dispatchSec.
+     * Stream production (pass wall minus the per-lane analyze
+     * seconds): for a sampled pass, pass B's warm-up + measured
+     * intervals; for a full pass, the whole re-simulation.
      */
     double dispatchSec = 0.0;
 
@@ -111,7 +111,10 @@ struct SampledPassTiming
     std::uint64_t checkpointBytes = 0;
 };
 
-/** Everything one sampled pass produces. */
+/**
+ * Everything one pass produces: a sampled pass here, a full pass
+ * through analyzeStream (runner/fused_sink.hh).
+ */
 struct SampledResult
 {
     /** Phase-weighted merged statistics, one per input config. */
@@ -126,9 +129,10 @@ struct SampledResult
 /**
  * Run the sampled two-pass analysis of @p prog fed @p input at
  * budget @p maxInstrs for every predictor config in @p configs
- * (lanes of one fused pass; configs must not request verify — the
- * engine routes PPM_VERIFY runs down the full path). @p opts must
- * be enabled(). Lanes run in order on the calling thread.
+ * (lanes of one pass; configs must not request verify — the engine
+ * runs verified groups as full passes). @p opts must be enabled().
+ * Lanes run in order on the calling thread. Pass A counts as one
+ * runner.simulations, under a "simulate" span.
  */
 SampledResult
 runSampledAnalysis(const Program &prog,

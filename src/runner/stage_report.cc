@@ -27,8 +27,7 @@ struct Totals
     std::uint64_t sampledRuns = 0;
     std::uint64_t simulations = 0;
     std::uint64_t captureHits = 0;
-    std::uint64_t fusedGroups = 0;
-    std::uint64_t fusedLanes = 0;
+    std::uint64_t passes = 0;
 };
 
 Totals
@@ -36,42 +35,26 @@ accumulate(const std::vector<ExperimentEngine::TimedRun> &runs)
 {
     Totals t;
     for (const auto &run : runs) {
+        const StageTiming &s = run.timing;
         ++t.runs;
-        t.assembleSec += run.timing.assembleSec;
-        t.analyzeSec += run.timing.analyzeSec;
-        t.dynInstrs += run.timing.dynInstrs;
-        if (run.timing.captureShared) {
+        t.assembleSec += s.assembleSec;
+        t.analyzeSec += s.analyzeSec;
+        t.dynInstrs += s.dynInstrs;
+        // Per-pass costs live on lane 0 only, so plain sums count
+        // each pass exactly once.
+        t.dispatchSec += s.dispatchSec;
+        t.checkpointSec += s.checkpointSec;
+        t.fastForwardSec += s.fastForwardSec;
+        t.sampledInstrs += s.sampledInstrs;
+        t.passes += s.laneIndex == 0;
+        t.sampledRuns += s.sampled;
+        if (s.captureShared) {
             ++t.captureHits;
         } else {
             // simulateSec is copied into every sharing cell; count the
             // wall cost once, at the cell that actually ran it.
             ++t.simulations;
-            t.simulateSec += run.timing.simulateSec;
-        }
-        // Sampled-pass shared stages (checkpoint capture, pass-B
-        // fast-forward) follow the lane-0 attribution discipline, so
-        // summing over runs counts each group cost exactly once.
-        if (run.timing.sampled) {
-            ++t.sampledRuns;
-            t.checkpointSec += run.timing.checkpointSec;
-            t.fastForwardSec += run.timing.fastForwardSec;
-            if (!run.timing.fused || run.timing.laneIndex == 0)
-                t.sampledInstrs += run.timing.sampledInstrs;
-            // A single-cell sampled pass still has a dispatch stage
-            // (pass-B stream production); the fused branch below only
-            // picks it up for multi-lane groups.
-            if (!run.timing.fused)
-                t.dispatchSec += run.timing.dispatchSec;
-        }
-        // Shared stages of a fused pass are attributed to lane 0
-        // only, so every per-group cost is counted exactly once even
-        // though all lanes carry the fused flag.
-        if (run.timing.fused) {
-            t.fusedLanes += 1;
-            if (run.timing.laneIndex == 0) {
-                ++t.fusedGroups;
-                t.dispatchSec += run.timing.dispatchSec;
-            }
+            t.simulateSec += s.simulateSec;
         }
     }
     return t;
@@ -100,7 +83,7 @@ writeBenchJson(std::ostream &os, const ExperimentEngine &engine)
     const char *label = std::getenv("PPM_BENCH_LABEL");
 
     os << "{";
-    os << "\"schema\":\"ppm-bench-timing-v2\"";
+    os << "\"schema\":\"ppm-bench-timing-v3\"";
     os << ",\"label\":\"" << jsonEscape(label ? label : "") << "\"";
     os << ",\"threads\":" << engine.threads();
     os << ",\"quick\":" << boolStr(quickMode());
@@ -121,8 +104,7 @@ writeBenchJson(std::ostream &os, const ExperimentEngine &engine)
            << ",\"dyn_instrs\":" << run.timing.dynInstrs
            << ",\"capture_shared\":"
            << boolStr(run.timing.captureShared)
-           << ",\"fused\":" << boolStr(run.timing.fused)
-           << ",\"lanes\":" << run.timing.fusedLanes
+           << ",\"lanes\":" << run.timing.lanes
            << ",\"lane\":" << run.timing.laneIndex
            << ",\"sampled\":" << boolStr(run.timing.sampled);
         if (run.timing.sampled) {
@@ -136,16 +118,15 @@ writeBenchJson(std::ostream &os, const ExperimentEngine &engine)
     }
     os << "]";
 
-    // Costs paid once per fused group (stream production), reported
-    // apart from the per-lane analyze times above so that summing
-    // analyze_s over runs plus shared_stages never double-counts.
+    // Costs paid once per pass (stream production), reported apart
+    // from the per-lane analyze times above so that summing analyze_s
+    // over runs plus shared_stages never double-counts.
     os << ",\"shared_stages\":{"
        << "\"simulate_s\":" << t.simulateSec
        << ",\"dispatch_s\":" << t.dispatchSec
        << ",\"checkpoint_s\":" << t.checkpointSec
        << ",\"fastforward_s\":" << t.fastForwardSec
-       << ",\"fused_groups\":" << t.fusedGroups
-       << ",\"fused_lanes\":" << t.fusedLanes << "}";
+       << ",\"passes\":" << t.passes << "}";
 
     os << ",\"totals\":{"
        << "\"runs\":" << t.runs
@@ -173,13 +154,10 @@ printStageSummary(std::ostream &os, const ExperimentEngine &engine)
         return;
     const Totals t = accumulate(runs);
     const double wall = engine.totalWallSec();
-    os << "[ppm] " << t.runs << " runs on " << engine.threads()
+    os << "[ppm] " << t.runs << " runs in " << t.passes
+       << " pass(es) on " << engine.threads()
        << " thread(s): " << t.simulations << " simulation(s), "
        << t.captureHits << " capture reuse(s)";
-    if (t.fusedGroups > 0) {
-        os << ", " << t.fusedLanes << " lanes fused into "
-           << t.fusedGroups << " pass(es)";
-    }
     if (t.sampledRuns > 0) {
         os << ", " << t.sampledRuns << " sampled run(s) ("
            << formatCount(t.sampledInstrs) << " of "

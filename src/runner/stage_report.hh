@@ -2,7 +2,7 @@
  * @file
  * Stage-timing reports for the experiment engine: a machine-readable
  * JSON document (the PPM_BENCH_JSON hook — schema
- * "ppm-bench-timing-v2", validated by the bench_smoke ctest) and a
+ * "ppm-bench-timing-v3", validated by the bench_smoke ctest) and a
  * one-paragraph human summary the bench drivers print to stderr, so
  * every figure binary reports assemble / simulate / analyze wall
  * times and model throughput for perf-trajectory tracking.
@@ -17,7 +17,7 @@ namespace ppm {
 
 class ExperimentEngine;
 
-/** The "ppm-bench-timing-v2" JSON document for @p engine's history. */
+/** The "ppm-bench-timing-v3" JSON document for @p engine's history. */
 void writeBenchJson(std::ostream &os, const ExperimentEngine &engine);
 
 /** Human-readable stage summary ("N runs, M simulations, ..."). */

@@ -1,10 +1,12 @@
 #include "runner/trace_import.hh"
 
-#include <array>
 #include <cctype>
+#include <chrono>
 #include <istream>
 #include <stdexcept>
 #include <unordered_map>
+
+#include "runner/fused_sink.hh"
 
 namespace ppm {
 
@@ -99,17 +101,10 @@ parseBranchTrace(std::istream &in, const std::string &name)
 void
 replayImported(const ImportedTrace &trace, TraceSink &sink)
 {
-    // Stage in blocks so the analyzer's prefetch pipeline gets the
-    // same 256-instruction lookahead as fused lanes. instr pointers
-    // are set here, into the caller-owned program, and stay valid
-    // for the sink's lifetime.
-    constexpr std::size_t kBlock = 256;
-    std::array<DynInstr, kBlock> stage;
-    std::size_t fill = 0;
-
+    // instr pointers are set here, into the caller-owned program, and
+    // stay valid for the sink's lifetime.
     for (std::size_t n = 0; n < trace.stream.size(); ++n) {
-        DynInstr &di = stage[fill++];
-        di = DynInstr{};
+        DynInstr di;
         di.seq = static_cast<NodeId>(n);
         di.pc = trace.stream[n];
         di.instr = &trace.program.text[di.pc];
@@ -118,15 +113,28 @@ replayImported(const ImportedTrace &trace, TraceSink &sink)
         di.inputs[1] = DynInput{InputKind::Imm, 0, 0, 0};
         di.isBranch = true;
         di.taken = trace.taken[n];
-        if (fill == kBlock) {
-            sink.onBlock(std::span<const DynInstr>(stage.data(),
-                                                   fill));
-            fill = 0;
-        }
+        sink.onInstr(di);
     }
-    if (fill)
-        sink.onBlock(std::span<const DynInstr>(stage.data(), fill));
     sink.onRunEnd();
+}
+
+SampledResult
+analyzeImported(const ImportedTrace &trace,
+                const std::vector<DpgConfig> &configs)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    ExecProfile profile(trace.program.textSize());
+    replayImported(trace, profile);
+    const double profileSec = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+
+    SampledResult r = analyzeStream(
+        trace.program, profile, configs,
+        [&](FusedAnalysisSink &sink) { replayImported(trace, sink); });
+    r.timing.simulateSec = profileSec;
+    r.timing.dynInstrs = profile.total();
+    return r;
 }
 
 } // namespace ppm

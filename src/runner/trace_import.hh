@@ -12,8 +12,9 @@
  * reads. Branch-direction state (gshare accuracy, per-static branch
  * stats, UnpredFlow classification) is then exact; the value side of
  * the model degenerates honestly to immediate-generated nodes rather
- * than being faked. Driven by `ppm import`, which renders the result
- * in the same ppm-fingerprint-v1 schema as the fuzz farm.
+ * than being faked. Driven by `ppm import` and the serve daemon's
+ * `trace` requests (both through analyzeImported), which render the
+ * result in the same ppm-fingerprint-v1 schema as the fuzz farm.
  */
 
 #ifndef PPM_RUNNER_TRACE_IMPORT_HH
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "asmr/program.hh"
+#include "runner/sampled_run.hh"
 #include "sim/trace.hh"
 
 namespace ppm {
@@ -57,11 +59,20 @@ ImportedTrace parseBranchTrace(std::istream &in,
                                const std::string &name);
 
 /**
- * Replay the imported records into @p sink (block-batched, then
- * onRunEnd), synthesizing each DynInstr exactly as the simulator
+ * Replay the imported records into @p sink one instruction at a time,
+ * then onRunEnd, synthesizing each DynInstr exactly as the simulator
  * would emit a two-immediate conditional branch.
  */
 void replayImported(const ImportedTrace &trace, TraceSink &sink);
+
+/**
+ * The two-pass analysis of @p trace for every config in @p configs:
+ * profile it (pass 1, timing.simulateSec), then replay it once into
+ * one lane per config (pass 2, analyzeStream). Stats are in config
+ * order.
+ */
+SampledResult analyzeImported(const ImportedTrace &trace,
+                              const std::vector<DpgConfig> &configs);
 
 } // namespace ppm
 

@@ -96,7 +96,7 @@ struct ServeRequest
 
     std::uint64_t seed = 0;
 
-    /** nullopt = sweep all predictors (fused lanes). */
+    /** nullopt = sweep all predictors (one lane each). */
     std::optional<PredictorKind> predictor;
 
     /** Per-request instruction budget; nullopt = server default. */
@@ -135,6 +135,8 @@ struct ResponseTiming
     double analyzeSec = 0.0;
     std::uint64_t dynInstrs = 0;
     bool captureShared = false;
+
+    /** The request's pass had more than one lane. */
     bool fused = false;
 };
 

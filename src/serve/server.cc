@@ -1,7 +1,6 @@
 #include "serve/server.hh"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -17,7 +16,6 @@
 
 #include "dpg/dpg_analyzer.hh"
 #include "runner/trace_import.hh"
-#include "sim/profiler.hh"
 #include "verify/families.hh"
 #include "verify/fingerprint.hh"
 #include "workloads/workload.hh"
@@ -26,12 +24,13 @@ namespace ppm::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
+/** The request's one predictor, or all of them (one lane each). */
+std::vector<PredictorKind>
+requestKinds(const ServeRequest &req)
 {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
+    if (req.predictor)
+        return {*req.predictor};
+    return {std::begin(kAllPredictorKinds), std::end(kAllPredictorKinds)};
 }
 
 /** write() the whole line + '\n'; false when the peer went away. */
@@ -468,14 +467,7 @@ Server::handleAnalyze(const ServeRequest &req)
                 std::to_string(opts_.maxInstrsCap));
     }
 
-    std::vector<PredictorKind> kinds;
-    if (req.predictor) {
-        kinds.push_back(*req.predictor);
-    } else {
-        kinds.assign(std::begin(kAllPredictorKinds),
-                     std::end(kAllPredictorKinds));
-    }
-
+    const std::vector<PredictorKind> kinds = requestKinds(req);
     std::vector<ExperimentJob> jobs;
     jobs.reserve(kinds.size());
     for (PredictorKind kind : kinds) {
@@ -489,9 +481,9 @@ Server::handleAnalyze(const ServeRequest &req)
     }
 
     // submitAll(): the predictor lanes enter the pending queue
-    // atomically, so they coalesce into one fused pass exactly like
-    // a batch caller's — and may further share a retained capture
-    // with an earlier request for the same (program, input, budget).
+    // atomically, so they coalesce into one pass exactly like a
+    // batch caller's — and may further share a retained capture with
+    // an earlier request for the same (program, input, budget).
     std::vector<RequestHandle> handles = engine_.submitAll(jobs);
 
     ResponseTiming timing;
@@ -504,7 +496,7 @@ Server::handleAnalyze(const ServeRequest &req)
         timing.simulateSec = outcome.timing.simulateSec;
         timing.analyzeSec += outcome.timing.analyzeSec;
         timing.dynInstrs = outcome.timing.dynInstrs;
-        timing.fused |= outcome.timing.fused;
+        timing.fused |= outcome.timing.lanes > 1;
         if (runs.empty())
             timing.captureShared = outcome.timing.captureShared;
         runs.push_back(std::move(outcome.stats));
@@ -542,40 +534,28 @@ Server::handleTrace(const ServeRequest &req)
                         std::to_string(budget));
     }
 
-    // Same two-pass discipline as `ppm import`, run on the
-    // connection thread: imported streams replay in-memory and do
-    // not go through the engine's capture tier.
-    const auto t0 = Clock::now();
-    ExecProfile profile(trace.program.textSize());
-    replayImported(trace, profile);
-    const double pass1Sec = secondsSince(t0);
-
-    std::vector<PredictorKind> kinds;
-    if (req.predictor) {
-        kinds.push_back(*req.predictor);
-    } else {
-        kinds.assign(std::begin(kAllPredictorKinds),
-                     std::end(kAllPredictorKinds));
-    }
-
-    const auto t1 = Clock::now();
-    std::vector<DpgStats> runs;
-    runs.reserve(kinds.size());
-    for (PredictorKind kind : kinds) {
+    // Same pass as `ppm import`, run on the connection thread:
+    // imported streams replay in-memory and do not go through the
+    // engine's capture tier.
+    std::vector<DpgConfig> configs;
+    for (PredictorKind kind : requestKinds(req)) {
         DpgConfig cfg;
         cfg.kind = kind;
-        DpgAnalyzer analyzer(trace.program, profile, cfg);
-        replayImported(trace, analyzer);
-        runs.push_back(analyzer.takeStats());
+        configs.push_back(cfg);
     }
+    const SampledResult res = analyzeImported(trace, configs);
 
     ResponseTiming timing;
-    timing.simulateSec = pass1Sec;
-    timing.analyzeSec = secondsSince(t1);
-    timing.dynInstrs = trace.stream.size();
+    timing.simulateSec = res.timing.simulateSec;
+    timing.analyzeSec = res.timing.dispatchSec;
+    for (double sec : res.laneSeconds)
+        timing.analyzeSec += sec;
+    timing.dynInstrs = res.timing.dynInstrs;
+    timing.fused = configs.size() > 1;
     return okResponse(
         req.id,
-        verify::fingerprintJson("trace:" + name, 0, runs), timing);
+        verify::fingerprintJson("trace:" + name, 0, res.stats),
+        timing);
 }
 
 std::string

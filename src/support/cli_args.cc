@@ -7,7 +7,7 @@
 namespace ppm {
 
 CliArgs::CliArgs(int argc, const char *const *argv,
-                 std::initializer_list<std::string> value_options)
+                 const std::vector<std::string> &value_options)
 {
     auto takes_value = [&](const std::string &name) {
         for (const auto &v : value_options) {

@@ -11,7 +11,6 @@
 #define PPM_SUPPORT_CLI_ARGS_HH
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,7 +27,7 @@ class CliArgs
      * listed are flags unless written as `--name=value`.
      */
     CliArgs(int argc, const char *const *argv,
-            std::initializer_list<std::string> value_options = {});
+            const std::vector<std::string> &value_options = {});
 
     /** Positional arguments, in order. */
     const std::vector<std::string> &positionals() const

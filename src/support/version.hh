@@ -11,14 +11,14 @@
 namespace ppm {
 
 /** Tool release; bumped when any schema below changes. */
-inline constexpr const char *kPpmVersion = "0.10.0";
+inline constexpr const char *kPpmVersion = "0.11.0";
 
 /** Every versioned document schema this build emits or accepts. */
 inline constexpr const char *kPpmSchemas[] = {
     "ppm-fingerprint-v1", ///< One analyzed program (verify/fingerprint.hh).
     "ppm-fuzz-corpus-v1", ///< Fuzz-farm fingerprint corpus.
     "ppm-serve-v1",       ///< Serve daemon request/response (serve/protocol.hh).
-    "ppm-bench-timing-v2",///< Stage-timing report (runner/stage_report.hh).
+    "ppm-bench-timing-v3",///< Stage-timing report (runner/stage_report.hh).
     "ppm-metrics-v1",     ///< Metrics registry dump (obs/obs.hh).
     "ppm-converge-v1",    ///< Sampled-vs-full convergence curves (`ppm converge`).
 };

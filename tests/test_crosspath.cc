@@ -1,11 +1,11 @@
 /**
  * @file
- * Cross-path differential test: the serial two-pass reference, the
- * single-thread engine, the multi-thread engine sharing pass-1
- * profiles, and the fused single-pass sweep engine (one stream pass
- * driving every predictor lane) must all produce byte-identical
- * figure CSV text for every workload. Any scheduling, profile
- * sharing, or lane-multiplexing divergence shows up as a text diff.
+ * Cross-path differential test: the serial two-pass reference and the
+ * engine (one stream pass driving every predictor lane) on one and on
+ * four threads sharing pass-1 profiles must all produce
+ * byte-identical figure CSV text for every workload. Any scheduling,
+ * profile sharing, or lane-multiplexing divergence shows up as a text
+ * diff.
  */
 
 #include <gtest/gtest.h>
@@ -75,13 +75,12 @@ serialCsv()
     return out.str();
 }
 
-/** Paths (b)-(e): the engine — sequential and fused. */
+/** Paths (b)-(c): the engine. */
 std::string
-engineCsv(unsigned threads, bool fused)
+engineCsv(unsigned threads)
 {
     EngineOptions opts;
     opts.threads = threads;
-    opts.fused = fused;
     ExperimentEngine engine(opts);
 
     ExperimentConfig base;
@@ -107,24 +106,18 @@ engineCsv(unsigned threads, bool fused)
 TEST(CrossPath, AllPathsProduceByteIdenticalFigureCsv)
 {
     const std::string serial = serialCsv();
-    const std::string seq1 = engineCsv(/*threads=*/1, false);
-    const std::string seq4 = engineCsv(/*threads=*/4, false);
-    const std::string fused1 = engineCsv(/*threads=*/1, true);
-    const std::string fused4 = engineCsv(/*threads=*/4, true);
+    const std::string engine1 = engineCsv(/*threads=*/1);
+    const std::string engine4 = engineCsv(/*threads=*/4);
 
     // Sanity: one header plus 12 workloads x 3 predictors of rows.
     const auto rows = static_cast<std::size_t>(
         std::count(serial.begin(), serial.end(), '\n'));
     EXPECT_EQ(rows, 1 + allWorkloads().size() * 3);
 
-    EXPECT_EQ(serial, seq1)
+    EXPECT_EQ(serial, engine1)
         << "serial two-pass vs single-thread engine diverged";
-    EXPECT_EQ(serial, seq4)
+    EXPECT_EQ(serial, engine4)
         << "serial two-pass vs 4-thread cache-shared engine diverged";
-    EXPECT_EQ(serial, fused1)
-        << "serial two-pass vs single-thread fused sweep diverged";
-    EXPECT_EQ(serial, fused4)
-        << "serial two-pass vs 4-thread fused sweep diverged";
 }
 
 } // namespace

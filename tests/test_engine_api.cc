@@ -67,8 +67,8 @@ TEST(EngineApi, SubmitWaitMatchesRunShimAndSerialReference)
 
     std::vector<RequestHandle> handles;
     for (PredictorKind kind : kAllPredictorKinds) {
-        handles.push_back(engine.submit(
-            {engine.makeJob(w, cellConfig(kind))}));
+        handles.push_back(
+            engine.submit(engine.makeJob(w, cellConfig(kind))));
     }
 
     // Ids are engine-unique and monotonically increasing.
@@ -117,7 +117,7 @@ TEST(EngineApi, ZeroInstructionBudgetCompletesCleanly)
     const Workload &w = findWorkload("compress");
 
     RequestHandle handle = engine.submit(
-        {engine.makeJob(w, cellConfig(PredictorKind::Context, 0))});
+        engine.makeJob(w, cellConfig(PredictorKind::Context, 0)));
     const ExperimentOutcome out = handle.wait();
     EXPECT_EQ(out.timing.dynInstrs, 0u);
     EXPECT_EQ(out.stats.dynInstrs, 0u);
@@ -139,15 +139,12 @@ TEST(EngineApi, CancelUnqueuesPendingRequest)
     ExperimentEngine engine(opts);
     const Workload &w = findWorkload("compress");
 
-    RequestHandle big = engine.submit(
-        {engine.makeJob(w,
-                        cellConfig(PredictorKind::Context,
-                                   2'000'000))});
+    RequestHandle big = engine.submit(engine.makeJob(
+        w, cellConfig(PredictorKind::Context, 2'000'000)));
     // Different budget -> different CaptureKey -> never coalesced
     // into the running pass.
     RequestHandle victim = engine.submit(
-        {engine.makeJob(w, cellConfig(PredictorKind::Context,
-                                      kBudget))});
+        engine.makeJob(w, cellConfig(PredictorKind::Context, kBudget)));
 
     EXPECT_TRUE(victim.cancel());
     EXPECT_EQ(victim.status(), RequestStatus::Cancelled);
@@ -169,32 +166,28 @@ TEST(EngineApi, CoalescedFollowerReportsOwnQueueInterval)
     // shorter queueSec.
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
     const Workload &w = findWorkload("compress");
 
     // Pin the single worker so the coalescing window stays open.
-    RequestHandle pin = engine.submit(
-        {engine.makeJob(w, cellConfig(PredictorKind::Context,
-                                      2'000'000))});
+    RequestHandle pin = engine.submit(engine.makeJob(
+        w, cellConfig(PredictorKind::Context, 2'000'000)));
 
     RequestHandle leader = engine.submit(
-        {engine.makeJob(w, cellConfig(PredictorKind::Context))});
+        engine.makeJob(w, cellConfig(PredictorKind::Context)));
     // A measurable submission gap, far above clock granularity.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     RequestHandle follower = engine.submit(
-        {engine.makeJob(w,
-                        cellConfig(PredictorKind::LastValue))});
+        engine.makeJob(w, cellConfig(PredictorKind::LastValue)));
 
     const ExperimentOutcome pinOut = pin.wait();
     const ExperimentOutcome leadOut = leader.wait();
     const ExperimentOutcome follOut = follower.wait();
     (void)pinOut;
 
-    // Same CaptureKey, claimed as one fused group.
-    ASSERT_TRUE(leadOut.timing.fused);
-    ASSERT_TRUE(follOut.timing.fused);
-    EXPECT_EQ(leadOut.timing.fusedLanes, 2u);
+    // Same CaptureKey, claimed as one two-lane pass.
+    ASSERT_EQ(leadOut.timing.lanes, 2u);
+    ASSERT_EQ(follOut.timing.lanes, 2u);
 
     EXPECT_GE(follOut.timing.queueSec, 0.0);
     // The follower waited at least 50 ms less than the leader; allow
@@ -228,15 +221,12 @@ TEST(EngineApi, ConcurrentSubmittersDedupThroughRunCache)
         clients.emplace_back([&, c] {
             // Every client submits the SAME cell...
             RequestHandle same = engine.submit(
-                {engine.makeJob(w, cellConfig(
-                                       PredictorKind::Context))});
+                engine.makeJob(w, cellConfig(PredictorKind::Context)));
             // ...plus one of three distinct-budget cells.
             const std::uint64_t budget =
                 kDistinctBudgets[c % std::size(kDistinctBudgets)];
-            RequestHandle other = engine.submit(
-                {engine.makeJob(w, cellConfig(
-                                       PredictorKind::Context,
-                                       budget))});
+            RequestHandle other = engine.submit(engine.makeJob(
+                w, cellConfig(PredictorKind::Context, budget)));
             const std::string sameFp =
                 fingerprint(same.wait().stats);
             const std::string otherFp =
@@ -276,25 +266,26 @@ TEST(EngineApi, ConcurrentSubmittersDedupThroughRunCache)
 TEST(EngineApi, FromEnvResolvesKnobsAndShieldsExplicitFields)
 {
     unsetenv("PPM_THREADS");
-    unsetenv("PPM_FUSED");
+    unsetenv("PPM_VERIFY");
     ASSERT_EQ(setenv("PPM_THREADS", "3", 1), 0);
-    ASSERT_EQ(setenv("PPM_FUSED", "0", 1), 0);
+    ASSERT_EQ(setenv("PPM_VERIFY", "1", 1), 0);
     const EngineOptions resolved = EngineOptions::fromEnv();
     EXPECT_EQ(resolved.threads, 3u);
-    ASSERT_TRUE(resolved.fused.has_value());
-    EXPECT_FALSE(*resolved.fused);
+    ASSERT_TRUE(resolved.verify.has_value());
+    EXPECT_TRUE(*resolved.verify);
 
     // An explicit field wins and its variable is not even parsed.
     ASSERT_EQ(setenv("PPM_THREADS", "garbage", 1), 0);
+    ASSERT_EQ(setenv("PPM_VERIFY", "garbage", 1), 0);
     EngineOptions explicitThreads;
     explicitThreads.threads = 2;
-    explicitThreads.fused = true;
+    explicitThreads.verify = false;
     const EngineOptions shielded =
         explicitThreads.withEnvFallback();
     EXPECT_EQ(shielded.threads, 2u);
-    EXPECT_TRUE(*shielded.fused);
+    EXPECT_FALSE(*shielded.verify);
 
-    unsetenv("PPM_FUSED");
+    unsetenv("PPM_VERIFY");
     unsetenv("PPM_THREADS");
 }
 

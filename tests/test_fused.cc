@@ -1,12 +1,12 @@
 /**
  * @file
- * Fused-sweep tests: N predictor cells sharing one (program, input,
- * budget) key run as lanes of a single pass (runner/fused_sink.hh)
- * and must stay byte-identical to the sequential per-cell path. Also
- * pins the coalescing rules — different budgets never coalesce, a
- * RunCache hit on the group's key skips no lane — the stage-timing
- * attribution (shared stream cost counted once, on lane 0) and the
- * sink's stream accounting.
+ * Pass tests: N predictor cells sharing one (program, input, budget)
+ * key run as lanes of a single pass (runner/fused_sink.hh) and must
+ * stay byte-identical to the serial runModel reference. Also pins the
+ * coalescing rules — different budgets never coalesce, a RunCache hit
+ * on the group's key skips no lane — the stage-timing attribution
+ * (shared stream cost counted once, on lane 0) and the sink's stream
+ * accounting.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "runner/run_cache.hh"
 #include "runner/stage_report.hh"
 #include "sim/machine.hh"
-#include "support/env.hh"
 #include "workloads/workload.hh"
 
 namespace ppm {
@@ -73,6 +72,20 @@ allKinds()
     return kinds;
 }
 
+/** One lane config per predictor kind. */
+std::vector<DpgConfig>
+laneConfigs(bool partialStream = false)
+{
+    std::vector<DpgConfig> configs;
+    for (PredictorKind kind : allKinds()) {
+        DpgConfig cfg;
+        cfg.kind = kind;
+        cfg.partialStream = partialStream;
+        configs.push_back(cfg);
+    }
+    return configs;
+}
+
 // The sink itself, fed by a live simulation: Machine::run delivers
 // one instruction at a time, so this exercises the internal
 // 256-instruction staging path. Every lane must match its serial
@@ -89,13 +102,7 @@ TEST(FusedSink, SimulatorFeedsEveryLaneThroughStaging)
         m.run(&profile, kBudget);
     }
 
-    FusedAnalysisSink sink;
-    for (PredictorKind kind : allKinds()) {
-        DpgConfig cfg;
-        cfg.kind = kind;
-        sink.addLane(
-            std::make_unique<DpgAnalyzer>(prog, profile, cfg));
-    }
+    FusedAnalysisSink sink(prog, profile, laneConfigs());
     {
         Machine m(prog, input);
         m.run(&sink, kBudget);
@@ -141,14 +148,8 @@ TEST(FusedSink, TakeStatsThrowsWhenALaneSawAnotherStream)
     Machine(prog, w.makeInput(kDefaultWorkloadSeed))
         .run(&rec, 2 * kBudget);
 
-    FusedAnalysisSink sink;
-    for (PredictorKind kind : allKinds()) {
-        DpgConfig cfg;
-        cfg.kind = kind;
-        cfg.partialStream = true;
-        sink.addLane(
-            std::make_unique<DpgAnalyzer>(prog, rec.profile, cfg));
-    }
+    FusedAnalysisSink sink(prog, rec.profile,
+                           laneConfigs(/*partialStream=*/true));
     for (std::size_t i = 0; i < kBudget; ++i)
         sink.onInstr(rec.stream[i]);
     sink.onRunEnd();
@@ -162,52 +163,13 @@ TEST(FusedSink, TakeStatsThrowsWhenALaneSawAnotherStream)
         EXPECT_EQ(sink.takeStats(i).dynInstrs, kBudget) << "lane " << i;
 }
 
-// End to end: a fused engine and a sequential engine over the same
-// matrix produce identical per-cell statistics, and the fused
-// outcomes carry lane attribution.
-TEST(FusedEngine, MatchesSequentialPerCell)
-{
-    const std::vector<const char *> names = {"compress", "li",
-                                             "m88ksim"};
-
-    auto runWith = [&](bool fused) {
-        EngineOptions opts;
-        opts.threads = 2;
-        opts.fused = fused;
-        ExperimentEngine engine(opts);
-        std::vector<ExperimentJob> jobs;
-        for (const char *name : names)
-            for (PredictorKind kind : allKinds())
-                jobs.push_back(engine.makeJob(
-                    findWorkload(name), cellConfig(kind)));
-        return engine.run(jobs);
-    };
-
-    const auto fused = runWith(true);
-    const auto sequential = runWith(false);
-    ASSERT_EQ(fused.size(), sequential.size());
-
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-        EXPECT_EQ(fingerprint(fused[i].stats),
-                  fingerprint(sequential[i].stats))
-            << "cell " << i;
-        EXPECT_TRUE(fused[i].timing.fused) << "cell " << i;
-        EXPECT_FALSE(sequential[i].timing.fused) << "cell " << i;
-        EXPECT_EQ(fused[i].timing.fusedLanes, allKinds().size())
-            << "cell " << i;
-        EXPECT_EQ(fused[i].timing.laneIndex, i % allKinds().size())
-            << "cell " << i;
-    }
-}
-
 // Coalescing rule: cells with different instruction budgets have
-// different CaptureKeys and must never share a fused pass — a lane
+// different CaptureKeys and must never share a pass — a lane
 // analyzing a longer stream than its budget would be wrong.
 TEST(FusedEngine, DifferentBudgetsDoNotCoalesce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("compress");
@@ -221,7 +183,7 @@ TEST(FusedEngine, DifferentBudgetsDoNotCoalesce)
     const auto outcomes = engine.run(jobs);
     ASSERT_EQ(outcomes.size(), budgets.size());
     for (std::size_t i = 0; i < budgets.size(); ++i) {
-        EXPECT_FALSE(outcomes[i].timing.fused) << "cell " << i;
+        EXPECT_EQ(outcomes[i].timing.lanes, 1u) << "cell " << i;
         EXPECT_FALSE(outcomes[i].timing.captureShared)
             << "cell " << i;
         EXPECT_LE(outcomes[i].stats.dynInstrs, budgets[i])
@@ -244,7 +206,6 @@ TEST(FusedEngine, MixedBudgetsSplitIntoCorrectGroups)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("li");
@@ -258,11 +219,10 @@ TEST(FusedEngine, MixedBudgetsSplitIntoCorrectGroups)
 
     const auto outcomes = engine.run(jobs);
     ASSERT_EQ(outcomes.size(), 3u);
-    EXPECT_TRUE(outcomes[0].timing.fused);
-    EXPECT_TRUE(outcomes[1].timing.fused);
-    EXPECT_EQ(outcomes[0].timing.fusedLanes, 2u);
+    EXPECT_EQ(outcomes[0].timing.lanes, 2u);
+    EXPECT_EQ(outcomes[1].timing.lanes, 2u);
     EXPECT_EQ(outcomes[1].timing.laneIndex, 1u);
-    EXPECT_FALSE(outcomes[2].timing.fused);
+    EXPECT_EQ(outcomes[2].timing.lanes, 1u);
     EXPECT_EQ(
         fingerprint(outcomes[0].stats),
         fingerprint(referenceStats(
@@ -279,13 +239,12 @@ TEST(FusedEngine, MixedBudgetsSplitIntoCorrectGroups)
 
 // Coalescing rule: a RunCache hit on the group's key must not skip
 // any lane. Pre-warm the capture through the cache, then run the
-// matrix — the fused pass reuses the capture (one hit, no new
-// simulation) yet every lane still produces its full statistics.
+// matrix — the pass reuses the capture (one hit, no new simulation)
+// yet every lane still produces its full statistics.
 TEST(FusedEngine, RunCacheHitSkipsNoLane)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("compress");
@@ -311,12 +270,13 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
 
     const auto outcomes = engine.run(jobs);
     ASSERT_EQ(outcomes.size(), allKinds().size());
-    // The fused pass hit the pre-warmed capture: no second simulation.
+    // The pass hit the pre-warmed capture: no second simulation.
     EXPECT_EQ(engine.cache().counters().captureMisses, 1u);
     EXPECT_EQ(engine.cache().counters().captureHits, 1u);
     EXPECT_TRUE(outcomes[0].timing.captureShared);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        EXPECT_TRUE(outcomes[i].timing.fused) << "cell " << i;
+        EXPECT_EQ(outcomes[i].timing.lanes, allKinds().size())
+            << "cell " << i;
         EXPECT_EQ(fingerprint(outcomes[i].stats),
                   fingerprint(referenceStats(
                       w, cellConfig(allKinds()[i]))))
@@ -330,7 +290,6 @@ TEST(FusedEngine, SharedStageTimingCountedOnce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     engine.run(engine.workloadMatrix({findWorkload("compress")},
@@ -341,7 +300,7 @@ TEST(FusedEngine, SharedStageTimingCountedOnce)
     ASSERT_EQ(history.size(), allKinds().size());
     for (std::size_t i = 0; i < history.size(); ++i) {
         const StageTiming &t = history[i].timing;
-        EXPECT_TRUE(t.fused) << "cell " << i;
+        EXPECT_EQ(t.lanes, allKinds().size()) << "cell " << i;
         EXPECT_EQ(t.laneIndex, i) << "cell " << i;
         if (i > 0) {
             EXPECT_EQ(t.dispatchSec, 0.0)
@@ -354,33 +313,8 @@ TEST(FusedEngine, SharedStageTimingCountedOnce)
     writeBenchJson(json, engine);
     const std::string doc = json.str();
     EXPECT_NE(doc.find("\"shared_stages\":{"), std::string::npos);
-    EXPECT_NE(doc.find("\"fused_groups\":1"), std::string::npos);
-    EXPECT_NE(doc.find("\"fused_lanes\":3"), std::string::npos);
-    EXPECT_NE(doc.find("\"fused\":true"), std::string::npos);
-}
-
-// PPM_FUSED env knob: respected at engine construction, malformed
-// values fail loudly like every other engine knob.
-TEST(FusedEngine, EnvKnobControlsDefault)
-{
-    setenv("PPM_FUSED", "0", 1);
-    {
-        ExperimentEngine engine{EngineOptions{.threads = 1}};
-        EXPECT_FALSE(engine.fusedEnabled());
-    }
-    setenv("PPM_FUSED", "1", 1);
-    {
-        ExperimentEngine engine{EngineOptions{.threads = 1}};
-        EXPECT_TRUE(engine.fusedEnabled());
-    }
-    setenv("PPM_FUSED", "maybe", 1);
-    EXPECT_THROW(ExperimentEngine{EngineOptions{.threads = 1}},
-                 EnvError);
-    unsetenv("PPM_FUSED");
-    {
-        ExperimentEngine engine{EngineOptions{.threads = 1}};
-        EXPECT_TRUE(engine.fusedEnabled());
-    }
+    EXPECT_NE(doc.find("\"passes\":1}"), std::string::npos);
+    EXPECT_NE(doc.find("\"lanes\":3"), std::string::npos);
 }
 
 } // namespace

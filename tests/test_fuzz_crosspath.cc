@@ -2,11 +2,10 @@
  * @file
  * Cross-path fingerprint parity: the canonical fingerprint JSON of a
  * sampled set of fuzz-farm programs must be byte-identical whether
- * the stats come from the serial two-pass reference, the
- * single-thread engine, the 4-thread cache-shared engine, or the
- * fused single-pass sweep. This is the corpus-level
- * analog of test_crosspath.cc: if any execution path perturbs a
- * single counter, the fingerprint string diffs.
+ * the stats come from the serial two-pass reference or from the
+ * engine's one-stream pass on one or four threads. This is the
+ * corpus-level analog of test_crosspath.cc: if any execution path
+ * perturbs a single counter, the fingerprint string diffs.
  */
 
 #include <gtest/gtest.h>
@@ -57,10 +56,10 @@ serialFingerprint(const char *familyName, std::uint64_t seed)
         std::string("family:") + familyName, seed, runs);
 }
 
-/** Paths (b)-(d): the engine, sequential or fused. */
+/** Paths (b)-(c): the engine. */
 std::string
 engineFingerprint(const char *familyName, std::uint64_t seed,
-                  unsigned threads, bool fused)
+                  unsigned threads)
 {
     const auto &family = verify::findFamily(familyName);
     auto program = std::make_shared<const Program>(
@@ -69,7 +68,6 @@ engineFingerprint(const char *familyName, std::uint64_t seed,
 
     EngineOptions opts;
     opts.threads = threads;
-    opts.fused = fused;
     ExperimentEngine engine(opts);
 
     std::vector<ExperimentJob> jobs;
@@ -95,15 +93,10 @@ TEST(FuzzCrossPath, FingerprintsByteIdenticalAcrossPaths)
                      << familyName << " seed " << seed);
         const std::string serial =
             serialFingerprint(familyName, seed);
-        EXPECT_EQ(serial,
-                  engineFingerprint(familyName, seed, 1, false))
+        EXPECT_EQ(serial, engineFingerprint(familyName, seed, 1))
             << "serial vs single-thread engine diverged";
-        EXPECT_EQ(serial,
-                  engineFingerprint(familyName, seed, 4, false))
+        EXPECT_EQ(serial, engineFingerprint(familyName, seed, 4))
             << "serial vs 4-thread engine diverged";
-        EXPECT_EQ(serial,
-                  engineFingerprint(familyName, seed, 4, true))
-            << "serial vs 4-thread fused sweep diverged";
     }
 }
 

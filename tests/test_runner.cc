@@ -170,10 +170,6 @@ TEST(ExperimentEngine, CaptureSharedAcrossPredictorConfigs)
 {
     EngineOptions opts;
     opts.threads = 1;  // Serialize so hit accounting is exact.
-    // Sequential scheduling: this test pins the per-cell cache hit
-    // accounting. The fused path's one-lookup-per-group accounting is
-    // pinned in tests/test_fused.cc.
-    opts.fused = false;
     ExperimentEngine engine(opts);
 
     const auto outcomes = engine.run(engine.workloadMatrix(
@@ -183,13 +179,15 @@ TEST(ExperimentEngine, CaptureSharedAcrossPredictorConfigs)
         cellConfig(PredictorKind::Context)));
 
     ASSERT_EQ(outcomes.size(), 3u);
+    // One pass: lane 0 ran the profile, the other lanes share it.
     EXPECT_FALSE(outcomes[0].timing.captureShared);
     EXPECT_TRUE(outcomes[1].timing.captureShared);
     EXPECT_TRUE(outcomes[2].timing.captureShared);
 
+    // One capture lookup per pass, not per cell.
     const auto counters = engine.cache().counters();
     EXPECT_EQ(counters.captureMisses, 1u);
-    EXPECT_EQ(counters.captureHits, 2u);
+    EXPECT_EQ(counters.captureHits, 0u);
     // One workload, three cells: assembled exactly once.
     EXPECT_EQ(counters.programMisses, 1u);
     EXPECT_EQ(counters.programHits, 2u);
@@ -347,7 +345,7 @@ TEST(ExperimentEngine, StageReportCarriesSchemaAndTotals)
     std::ostringstream json;
     writeBenchJson(json, engine);
     const std::string doc = json.str();
-    EXPECT_NE(doc.find("\"schema\":\"ppm-bench-timing-v2\""),
+    EXPECT_NE(doc.find("\"schema\":\"ppm-bench-timing-v3\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"threads\":2"), std::string::npos);
     EXPECT_NE(doc.find("\"workload\":\"compress\""),
@@ -456,7 +454,7 @@ TEST(RunCache, RetentionAccountingSurvivesConcurrentHammer)
                 config.maxInstrs = budget;
                 config.dpg.kind = PredictorKind::Context;
                 RequestHandle h =
-                    engine.submit({engine.makeJob(w, config)});
+                    engine.submit(engine.makeJob(w, config));
                 const std::string fp = fingerprint(h.wait().stats);
                 std::lock_guard<std::mutex> lock(mu);
                 fps.emplace_back(budget, fp);

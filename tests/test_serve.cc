@@ -2,7 +2,8 @@
  * @file
  * Serve-layer tests: ppm-serve-v1 request validation, an in-process
  * daemon on a Unix socket serving real requests, byte-identity of
- * served fingerprints against the batch engine path, admission
+ * served fingerprints against the batch engine path and the
+ * per-predictor imported-trace replay, admission
  * control, per-request budgets, concurrent clients, and
  * shutdown/drain.
  */
@@ -23,9 +24,11 @@
 #include <unistd.h>
 
 #include "runner/engine.hh"
+#include "runner/trace_import.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "sim/profiler.hh"
 #include "support/mini_json.hh"
 #include "verify/fingerprint.hh"
 #include "workloads/workload.hh"
@@ -206,6 +209,34 @@ TEST(ServeDaemon, ServedFingerprintIsByteIdenticalToBatchPath)
     EXPECT_NE(response->find("\"fingerprint\":" + expected),
               std::string::npos)
         << "served fingerprint differs from the batch path";
+
+    // A served trace against the per-predictor replay reference: one
+    // analyzer per predictor, each fed its own replay of the records.
+    const std::string records = sampleRecords();
+    std::istringstream in(records);
+    const ImportedTrace trace = parseBranchTrace(in, "ident");
+    ExecProfile profile(trace.program.textSize());
+    replayImported(trace, profile);
+    std::vector<DpgStats> traceRuns;
+    for (PredictorKind kind : kAllPredictorKinds) {
+        DpgConfig config;
+        config.kind = kind;
+        DpgAnalyzer analyzer(trace.program, profile, config);
+        replayImported(trace, analyzer);
+        traceRuns.push_back(analyzer.takeStats());
+    }
+    const std::string traceExpected =
+        verify::fingerprintJson("trace:ident", 0, traceRuns);
+
+    client.sendLine("{\"schema\":\"ppm-serve-v1\",\"kind\":\"trace\","
+                    "\"id\":\"r2\",\"name\":\"ident\",\"records\":\"" +
+                    serve::jsonEscape(records) + "\"}");
+    const auto traceResponse = client.recvLine(60'000);
+    ASSERT_TRUE(traceResponse.has_value());
+    EXPECT_EQ(statusOf(*traceResponse), "ok");
+    EXPECT_NE(traceResponse->find("\"fingerprint\":" + traceExpected),
+              std::string::npos)
+        << "served trace fingerprint differs from the replay reference";
 
     server.requestStop();
     server.serveUntilStopped();

@@ -13,10 +13,11 @@
  *    means a broken exporter);
  *  - metrics use the "ppm-metrics-v1" schema, every counter is a
  *    non-negative integer, gauges carry value <= max;
- *  - cross-document consistency: span counts for "job"/"analyze"/
- *    "simulate" match the runner.* counters, every job resolved its
- *    capture through the cache, hits never exceed lookups, and table
- *    occupancy never exceeds capacity.
+ *  - cross-document consistency: span counts for "pass" and
+ *    "simulate" match the runner.* counters, every unsampled pass
+ *    resolved its capture through the cache, passes never exceed
+ *    completed jobs, hits never exceed lookups, and table occupancy
+ *    never exceeds capacity.
  */
 
 #include <cmath>
@@ -215,32 +216,26 @@ checkConsistency(const std::map<std::string, std::uint64_t> &spans,
                           std::to_string(b) + ")");
     };
 
-    // Fused sweeps change the unit of work: N coalesced cells (lanes)
-    // run as one pass, so stream-level spans and counters scale with
-    // passes while jobs_completed still counts cells. A sequential
-    // cell is a pass of its own.
+    // The unit of work is a pass: one stream feeding one lane per
+    // coalesced cell, so stream-level spans and counters count passes
+    // while jobs_completed counts cells. Each counter is bumped in
+    // the same function as the span it is checked against.
     const std::uint64_t jobs =
         counterOr0(counters, "runner.jobs_completed");
-    const std::uint64_t fusedGroups =
-        counterOr0(counters, "runner.fused_groups");
-    const std::uint64_t fusedLanes =
-        counterOr0(counters, "runner.fused_lanes");
-    const std::uint64_t passes = jobs - fusedLanes + fusedGroups;
+    const std::uint64_t passes = counterOr0(counters, "runner.passes");
     check(jobs > 0, "consistency: no jobs recorded");
-    check(fusedLanes <= jobs,
-          "consistency: fused lanes exceed jobs_completed");
-    expectEq("span(job) + fused lanes == runner.jobs_completed",
-             counterOr0(spans, "job") + fusedLanes, jobs);
-    expectEq("span(fused_job) == runner.fused_groups",
-             counterOr0(spans, "fused_job"), fusedGroups);
-    expectEq("span(analyze) + fused lanes == runner.jobs_completed",
-             counterOr0(spans, "analyze") + fusedLanes, jobs);
+    check(passes <= jobs,
+          "consistency: runner.passes exceeds runner.jobs_completed");
+    expectEq("span(pass) == runner.passes",
+             counterOr0(spans, "pass"), passes);
     expectEq("span(simulate) == runner.simulations",
              counterOr0(spans, "simulate"),
              counterOr0(counters, "runner.simulations"));
-    expectEq("capture hits + misses == work passes",
+    expectEq("capture hits + misses + runner.sampled_passes == "
+             "runner.passes",
              counterOr0(counters, "cache.capture_hits") +
-                 counterOr0(counters, "cache.capture_misses"),
+                 counterOr0(counters, "cache.capture_misses") +
+                 counterOr0(counters, "runner.sampled_passes"),
              passes);
     for (const char *role : {"output", "input", "branch"}) {
         const std::string base = std::string("pred.") + role;

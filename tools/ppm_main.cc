@@ -71,7 +71,6 @@
 #include "isa/disasm.hh"
 #include "report/figure_report.hh"
 #include "report/json_emitter.hh"
-#include "runner/fused_sink.hh"
 #include "runner/sampled_run.hh"
 #include "runner/trace_import.hh"
 #include "serve/client.hh"
@@ -315,7 +314,7 @@ cmdAnalyze(const CliArgs &args)
     }
 
     // The engine profiles once and feeds every requested predictor
-    // from one re-simulation (a fused pass). (t.program stays valid
+    // from one re-simulation, one lane each. (t.program stays valid
     // for the report printers below.)
     auto program = std::make_shared<const Program>(t.program);
     auto input = std::make_shared<const std::vector<Value>>(
@@ -560,30 +559,27 @@ cmdImport(const CliArgs &args)
         trace = parseBranchTrace(in, path);
     }
 
-    // Pass 1 over the imported stream, then the model per predictor —
-    // the same two-pass discipline as a simulated program.
-    ExecProfile profile(trace.program.textSize());
-    replayImported(trace, profile);
-
-    std::vector<DpgStats> runs;
+    // Pass 1 over the imported stream, then one pass feeding every
+    // predictor — the same two-pass discipline as a simulated program.
+    std::vector<DpgConfig> configs;
     for (PredictorKind kind : kAllPredictorKinds) {
         DpgConfig cfg;
         cfg.kind = kind;
         cfg.verify = args.flag("verify");
-        DpgAnalyzer analyzer(trace.program, profile, cfg);
-        replayImported(trace, analyzer);
-        DpgStats stats = analyzer.takeStats();
-        const auto violations =
-            verify::InvariantChecker::audit(stats, cfg.trackInfluence);
+        configs.push_back(cfg);
+    }
+    const SampledResult res = analyzeImported(trace, configs);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto violations = verify::InvariantChecker::audit(
+            res.stats[i], configs[i].trackInfluence);
         for (const std::string &v : violations)
             std::cerr << "invariant violation: " << v << "\n";
         if (!violations.empty())
             return 1;
-        runs.push_back(std::move(stats));
     }
 
     const std::string fp =
-        verify::fingerprintJson("trace:" + path, 0, runs);
+        verify::fingerprintJson("trace:" + path, 0, res.stats);
     const auto errors = verify::validateFingerprint(parseJson(fp));
     for (const std::string &e : errors)
         std::cerr << "fingerprint schema violation: " << e << "\n";
@@ -672,12 +668,22 @@ cmdConverge(const CliArgs &args)
     } else {
         kinds.push_back(parsePredictor(pred));
     }
-    std::vector<DpgConfig> configs;
-    for (PredictorKind kind : kinds) {
-        DpgConfig cfg;
-        cfg.kind = kind;
-        configs.push_back(cfg);
-    }
+
+    // Two explicitly configured engines, neither of which reads
+    // PPM_SAMPLE, PPM_VERIFY or PPM_THREADS: the comparison is always
+    // full versus sampled, through the pass every other command runs.
+    EngineOptions fullOpts;
+    fullOpts.threads = 1;
+    fullOpts.verify = false;
+    fullOpts.sample = SampleOptions{};
+    EngineOptions sampledOpts = fullOpts;
+    sampledOpts.sample = sopts;
+    ExperimentEngine fullEngine(fullOpts);
+    ExperimentEngine sampledEngine(sampledOpts);
+    const auto program =
+        std::make_shared<const Program>(std::move(t.program));
+    const auto input = std::make_shared<const std::vector<Value>>(
+        std::move(t.input));
 
     // Fingerprint accuracy metrics (verify/fingerprint.cc): the
     // output-accuracy share of classified nodes plus the gshare hit
@@ -716,36 +722,30 @@ cmdConverge(const CliArgs &args)
     double maxErr = 0.0;
     bool firstBudget = true;
     for (const std::uint64_t budget : budgets) {
+        std::vector<ExperimentJob> jobs;
+        for (PredictorKind kind : kinds) {
+            ExperimentJob job;
+            job.program = program;
+            job.input = input;
+            job.config.maxInstrs = budget;
+            job.config.dpg.kind = kind;
+            jobs.push_back(std::move(job));
+        }
         // Full reference: the exact two-pass analysis, every
         // predictor as one lane over one stream production.
         const auto f0 = Clock::now();
-        ExecProfile profile(t.program.textSize());
-        {
-            Machine m(t.program, t.input);
-            m.run(&profile, budget);
-        }
-        FusedAnalysisSink sink;
-        for (const DpgConfig &cfg : configs) {
-            sink.addLane(std::make_unique<DpgAnalyzer>(
-                t.program, profile, cfg));
-        }
-        {
-            Machine m(t.program, t.input);
-            m.run(&sink, budget);
-        }
-        std::vector<DpgStats> full;
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            full.push_back(sink.takeStats(i));
+        const std::vector<ExperimentOutcome> full = fullEngine.run(jobs);
         const double fullSec =
             std::chrono::duration<double>(Clock::now() - f0)
                 .count();
 
         const auto s0 = Clock::now();
-        SampledResult sampled = runSampledAnalysis(
-            t.program, t.input, budget, configs, sopts);
+        const std::vector<ExperimentOutcome> sampled =
+            sampledEngine.run(jobs);
         const double sampledSec =
             std::chrono::duration<double>(Clock::now() - s0)
                 .count();
+        const StageTiming &lane0 = sampled.front().timing;
         const double speedup =
             sampledSec > 0.0 ? fullSec / sampledSec : 0.0;
 
@@ -753,27 +753,26 @@ cmdConverge(const CliArgs &args)
             json += ",";
         firstBudget = false;
         json += "{\"budget\":" + std::to_string(budget);
-        json += ",\"phases\":" +
-                std::to_string(sampled.timing.phases);
+        json += ",\"phases\":" + std::to_string(lane0.phases);
         json += ",\"sampled_instrs\":" +
-                std::to_string(sampled.timing.sampledInstrs);
+                std::to_string(lane0.sampledInstrs);
         json += ",\"full_s\":" + formatDouble(fullSec, 4);
         json += ",\"sampled_s\":" + formatDouble(sampledSec, 4);
         json += ",\"speedup\":" + formatDouble(speedup, 2);
         json += ",\"predictors\":[";
 
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const double of = outputAcc(full[i]);
-            const double os = outputAcc(sampled.stats[i]);
-            const double gf = 100.0 * full[i].gshareAccuracy;
-            const double gs =
-                100.0 * sampled.stats[i].gshareAccuracy;
+        for (std::size_t i = 0; i < kinds.size(); ++i) {
+            const DpgStats &fs = full[i].stats;
+            const DpgStats &ss = sampled[i].stats;
+            const double of = outputAcc(fs);
+            const double os = outputAcc(ss);
+            const double gf = 100.0 * fs.gshareAccuracy;
+            const double gs = 100.0 * ss.gshareAccuracy;
             const double oe = std::abs(of - os);
             const double ge = std::abs(gf - gs);
             maxErr = std::max({maxErr, oe, ge});
 
-            const std::string kindName(
-                predictorName(configs[i].kind));
+            const std::string kindName(predictorName(kinds[i]));
             table.addRow({formatCount(budget), kindName,
                           formatDouble(of, 2), formatDouble(os, 2),
                           formatDouble(oe, 2), formatDouble(gf, 2),
@@ -998,45 +997,50 @@ struct Command
 {
     std::string name;
     int (*run)(const CliArgs &);
-    std::vector<std::string> options;
+    std::vector<std::string> values; ///< Options that take a value.
+    std::vector<std::string> flags;  ///< Options that stand alone.
 };
 
 /**
- * The subcommand table. Each list names every option its command
+ * The subcommand table. The lists name every option its command
  * reads (the target options seed, input and input-file come from
- * resolveTarget); main rejects anything else before the command runs.
+ * resolveTarget); main parses the command line with that command's
+ * value-taking options and rejects anything else before it runs.
  */
 const std::vector<Command> &
 commands()
 {
     static const std::vector<Command> table = {
-        {"asm", cmdAsm, {}},
-        {"disasm", cmdDisasm, {}},
-        {"run", cmdRun, {"seed", "input", "input-file", "max", "trace"}},
+        {"asm", cmdAsm, {}, {}},
+        {"disasm", cmdDisasm, {}, {}},
+        {"run", cmdRun, {"seed", "input", "input-file", "max"},
+         {"trace"}},
         {"analyze", cmdAnalyze,
-         {"seed", "input", "input-file", "max", "all-predictors",
-          "predictor", "report"}},
+         {"seed", "input", "input-file", "max", "predictor", "report"},
+         {"all-predictors"}},
         {"graph", cmdGraph,
-         {"seed", "input", "input-file", "window", "predictor"}},
+         {"seed", "input", "input-file", "window", "predictor"}, {}},
         {"workloads", [](const CliArgs &) { return cmdWorkloads(); },
-         {}},
+         {}, {}},
         {"metrics", cmdMetrics,
-         {"seed", "input", "input-file", "max", "predictor", "json"}},
-        {"fuzz", cmdFuzz,
-         {"list", "families", "seeds", "slice", "no-verify", "out"}},
-        {"import", cmdImport, {"verify", "out"}},
+         {"seed", "input", "input-file", "max", "predictor"},
+         {"json"}},
+        {"fuzz", cmdFuzz, {"families", "seeds", "out"},
+         {"list", "slice", "no-verify"}},
+        {"import", cmdImport, {"out"}, {"verify"}},
         {"converge", cmdConverge,
          {"seed", "input", "input-file", "budgets", "interval",
-          "warmup", "phases", "threshold", "predictor", "csv",
-          "out"}},
+          "warmup", "phases", "threshold", "predictor", "csv", "out"},
+         {}},
         {"serve", cmdServe,
-         {"socket", "port", "max-inflight", "max", "cap",
-          "retain-mb"}},
+         {"socket", "port", "max-inflight", "max", "cap", "retain-mb"},
+         {}},
         {"client", cmdClient,
-         {"socket", "port", "json", "ping", "stats", "shutdown",
-          "workload", "family", "trace-file", "predictor", "max",
-          "seed", "count", "id"}},
-        {"version", [](const CliArgs &) { return cmdVersion(); }, {}},
+         {"socket", "port", "json", "workload", "family", "trace-file",
+          "predictor", "max", "seed", "count", "id"},
+         {"ping", "stats", "shutdown"}},
+        {"version", [](const CliArgs &) { return cmdVersion(); }, {},
+         {}},
     };
     return table;
 }
@@ -1046,30 +1050,32 @@ commands()
 int
 main(int argc, char **argv)
 {
+    // The command is the first token that is not an option; its row
+    // says which options take a value, so `metrics --json gcc` keeps
+    // gcc as its target while `client --json REQ` reads REQ.
+    const auto first = std::find_if(argv + 1, argv + argc,
+                                    [](std::string_view tok) {
+                                        return !startsWith(tok, "--");
+                                    });
+    const std::string name = first == argv + argc ? "" : *first;
+    const auto cmd =
+        std::find_if(commands().begin(), commands().end(),
+                     [&](const Command &c) { return c.name == name; });
+    const bool known = cmd != commands().end();
     const CliArgs args(argc, argv,
-                       {"max", "predictor", "seed", "input",
-                        "input-file", "report", "window",
-                        "trace-file", "families",
-                        "seeds", "out", "socket", "port",
-                        "max-inflight", "cap", "retain-mb",
-                        "workload", "family", "json", "id",
-                        "count", "budgets", "interval", "warmup",
-                        "phases", "threshold", "csv"});
+                       known ? cmd->values : std::vector<std::string>{});
     if (args.flag("version"))
         return cmdVersion();
     if (args.positionals().empty())
         usage();
-
-    const std::string &name = args.positionals()[0];
-    const auto cmd =
-        std::find_if(commands().begin(), commands().end(),
-                     [&](const Command &c) { return c.name == name; });
-    if (cmd == commands().end())
-        usage("unknown command '" + name + "'");
+    if (!known || args.positionals()[0] != name)
+        usage("unknown command '" + args.positionals()[0] + "'");
     // Querying an option marks it consumed, so what is left over is
     // every option this command does not read.
-    for (const std::string &opt : cmd->options)
-        args.flag(opt);
+    for (const auto *list : {&cmd->values, &cmd->flags}) {
+        for (const std::string &opt : *list)
+            args.flag(opt);
+    }
     const std::vector<std::string> unknown = args.unconsumedOptions();
     if (!unknown.empty()) {
         std::string list;

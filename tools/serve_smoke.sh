@@ -45,6 +45,21 @@ grep -q -- "--all-predictor" "$WORKDIR/err" \
 grep -q -- "--bogus-flag" "$WORKDIR/err" \
     || fail "the error must name --bogus-flag"
 set -e
+# Value-taking options are per command: `metrics --json` is a flag
+# wherever it stands, so both spellings analyze gcc (and match the
+# spelling with --json last), while `client --json REQ` still takes
+# REQ as its value (driven against the daemon below).
+pred_counters() { grep -o '"pred\.[a-z_]*":[0-9]*' || true; }
+"$PPM" metrics gcc --max 2000 --json | pred_counters > "$WORKDIR/gcc.ref"
+grep -q '"pred.branch_lookups"' "$WORKDIR/gcc.ref" \
+    || fail "metrics --json printed no pred.* counters"
+for args in "--json gcc --max 2000" "gcc --json --max 2000"; do
+    # shellcheck disable=SC2086 # word splitting is the point here
+    "$PPM" metrics $args > "$WORKDIR/metrics.out" \
+        || fail "ppm metrics $args must exit 0"
+    pred_counters < "$WORKDIR/metrics.out" | cmp -s - "$WORKDIR/gcc.ref" \
+        || fail "ppm metrics $args must report gcc's counters"
+done
 
 # --- start the daemon ------------------------------------------------
 "$PPM" serve --socket "$SOCK" --max-inflight 48 \
@@ -105,6 +120,13 @@ set -e
 [ "$RC" -ne 0 ] || fail "failing --count batch must exit non-zero"
 [ "$(grep -c '"status":"error"' "$WORKDIR/batch-bad.out")" -eq 2 ] \
     || fail "failing batch must still print every response"
+
+# --- client --json REQ sends REQ verbatim -----------------------------
+"$PPM" client --socket "$SOCK" \
+    --json '{"schema":"ppm-serve-v1","kind":"ping","id":"raw"}' \
+    > "$WORKDIR/raw.out" || fail "client --json REQ must exit 0"
+grep -q '"id":"raw"' "$WORKDIR/raw.out" \
+    || fail "client --json REQ must send REQ as the request"
 
 # --- exported cache hit-rate -----------------------------------------
 STATS=$("$PPM" client --socket "$SOCK" --stats)
