@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
-#include "report/json_emitter.hh"
+#include "support/mini_json.hh"
 
 namespace ppm::obs {
 
@@ -75,48 +75,33 @@ void
 Registry::dumpJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    os << "{\"schema\":\"ppm-metrics-v1\"";
+    JsonWriter w;
+    w.beginObject().key("schema").string("ppm-metrics-v1");
 
-    os << ",\"counters\":{";
-    bool first = true;
-    for (const auto &[name, c] : counters_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << jsonEscape(name) << "\":" << c->value();
-    }
-    os << "}";
+    w.key("counters").beginObject();
+    for (const auto &[name, c] : counters_)
+        w.key(name).u64(c->value());
+    w.endObject();
 
-    os << ",\"gauges\":{";
-    first = true;
+    w.key("gauges").beginObject();
     for (const auto &[name, g] : gauges_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << jsonEscape(name) << "\":{\"value\":"
-           << g->value() << ",\"max\":"
-           << std::max(g->max(), g->value()) << "}";
+        w.key(name).beginObject()
+            .key("value").i64(g->value())
+            .key("max").i64(std::max(g->max(), g->value()))
+            .endObject();
     }
-    os << "}";
+    w.endObject();
 
-    os << ",\"histograms\":{";
-    first = true;
+    w.key("histograms").beginObject();
     for (const auto &[name, h] : histograms_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\"" << jsonEscape(name) << "\":{\"count\":"
-           << h->count() << ",\"buckets\":[";
-        for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
-            if (i != 0)
-                os << ",";
-            os << h->bucket(i);
-        }
-        os << "]}";
+        w.key(name).beginObject().key("count").u64(h->count());
+        w.key("buckets").beginArray();
+        for (unsigned i = 0; i < Histogram::kBuckets; ++i)
+            w.u64(h->bucket(i));
+        w.endArray().endObject();
     }
-    os << "}";
-
-    os << "}\n";
+    w.endObject().endObject().newline();
+    os << w.json();
 }
 
 } // namespace ppm::obs

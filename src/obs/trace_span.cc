@@ -3,7 +3,7 @@
 #include <ostream>
 
 #include "obs/obs.hh"
-#include "report/json_emitter.hh"
+#include "support/mini_json.hh"
 
 namespace ppm::obs {
 
@@ -84,29 +84,36 @@ void
 Tracer::exportChromeTrace(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
+    JsonWriter w;
+    w.beginObject()
+        .key("displayTimeUnit").string("ms")
+        .key("traceEvents").beginArray();
     for (const auto &t : threads_) {
         if (!t->name_.empty()) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1"
-               << ",\"tid\":" << t->tid() << ",\"args\":{\"name\":\""
-               << jsonEscape(t->name_) << "\"}}";
+            w.beginObject()
+                .key("name").string("thread_name")
+                .key("ph").string("M")
+                .key("pid").u64(1)
+                .key("tid").u64(t->tid())
+                .key("args").beginObject()
+                .key("name").string(t->name_)
+                .endObject()
+                .endObject();
         }
         for (const SpanRecord &s : t->spans_) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "{\"name\":\"" << jsonEscape(s.name)
-               << "\",\"cat\":\"" << jsonEscape(s.cat)
-               << "\",\"ph\":\"X\",\"ts\":" << s.tsUs
-               << ",\"dur\":" << s.durUs << ",\"pid\":1,\"tid\":"
-               << t->tid() << "}";
+            w.beginObject()
+                .key("name").string(s.name)
+                .key("cat").string(s.cat)
+                .key("ph").string("X")
+                .key("ts").u64(s.tsUs)
+                .key("dur").u64(s.durUs)
+                .key("pid").u64(1)
+                .key("tid").u64(t->tid())
+                .endObject();
         }
     }
-    os << "]}\n";
+    w.endArray().endObject().newline();
+    os << w.json();
 }
 
 Span::Span(const char *name, const char *cat)

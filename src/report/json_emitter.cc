@@ -1,161 +1,50 @@
 #include "report/json_emitter.hh"
 
-#include <cstdio>
-#include <ostream>
-#include <sstream>
-
 #include "analysis/figures.hh"
+#include "support/mini_json.hh"
 
 namespace ppm {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
 
-/** Tiny streaming helper: tracks commas inside the current object. */
-class JsonWriter
-{
-  public:
-    explicit JsonWriter(std::ostream &os)
-        : os_(os)
-    {
-    }
-
-    void
-    openObject(const std::string &key = "")
-    {
-        comma();
-        if (!key.empty())
-            os_ << "\"" << key << "\":";
-        os_ << "{";
-        first_ = true;
-    }
-
-    void
-    closeObject()
-    {
-        os_ << "}";
-        first_ = false;
-    }
-
-    void
-    openArray(const std::string &key)
-    {
-        comma();
-        os_ << "\"" << key << "\":[";
-        first_ = true;
-    }
-
-    void
-    closeArray()
-    {
-        os_ << "]";
-        first_ = false;
-    }
-
-    void
-    field(const std::string &key, std::uint64_t v)
-    {
-        comma();
-        os_ << "\"" << key << "\":" << v;
-    }
-
-    void
-    field(const std::string &key, double v)
-    {
-        comma();
-        os_ << "\"" << key << "\":" << v;
-    }
-
-    void
-    field(const std::string &key, const std::string &v)
-    {
-        comma();
-        os_ << "\"" << key << "\":\"" << jsonEscape(v) << "\"";
-    }
-
-    void
-    element(double v)
-    {
-        comma();
-        os_ << v;
-    }
-
-  private:
-    void
-    comma()
-    {
-        if (!first_)
-            os_ << ",";
-        first_ = false;
-    }
-
-    std::ostream &os_;
-    bool first_ = true;
-};
-
 void
-writeCurve(JsonWriter &w, const std::string &key,
+writeCurve(JsonWriter &w, std::string_view key,
            const std::vector<CumulativePoint> &curve)
 {
-    w.openArray(key);
+    w.key(key).beginArray();
     for (const auto &p : curve) {
-        w.openObject();
-        w.field("high", std::uint64_t(p.bucketHigh));
-        w.field("cumulative", p.cumulative);
-        w.closeObject();
+        w.beginObject()
+            .key("high").u64(p.bucketHigh)
+            .key("cumulative").general(p.cumulative)
+            .endObject();
     }
-    w.closeArray();
+    w.endArray();
 }
 
 } // namespace
 
-void
-writeJson(std::ostream &os, const DpgStats &stats)
+std::string
+toJson(const DpgStats &stats)
 {
-    JsonWriter w(os);
-    w.openObject();
-    w.field("workload", stats.workload);
-    w.field("predictor", predictorName(stats.kind));
-    w.field("dyn_instrs", stats.dynInstrs);
-    w.field("nodes", stats.totalNodes());
-    w.field("arcs", stats.arcs.total());
-    w.field("data_nodes", stats.dataNodes());
-    w.field("data_arcs", stats.arcs.dataArcs());
-    w.field("gshare_accuracy", stats.gshareAccuracy);
+    JsonWriter w;
+    w.beginObject()
+        .key("workload").string(stats.workload)
+        .key("predictor").string(predictorName(stats.kind))
+        .key("dyn_instrs").u64(stats.dynInstrs)
+        .key("nodes").u64(stats.totalNodes())
+        .key("arcs").u64(stats.arcs.total())
+        .key("data_nodes").u64(stats.dataNodes())
+        .key("data_arcs").u64(stats.arcs.dataArcs())
+        .key("gshare_accuracy").general(stats.gshareAccuracy);
 
-    w.openObject("node_classes");
+    w.key("node_classes").beginObject();
     for (unsigned c = 0; c < kNumNodeClasses; ++c) {
-        w.field(std::string(nodeClassName(
-                    static_cast<NodeClass>(c))),
-                stats.nodes.count(static_cast<NodeClass>(c)));
+        const auto cls = static_cast<NodeClass>(c);
+        w.key(nodeClassName(cls)).u64(stats.nodes.count(cls));
     }
-    w.closeObject();
+    w.endObject();
 
-    w.openObject("arc_cells");
+    w.key("arc_cells").beginObject();
     for (unsigned u = 0; u < kNumArcUses; ++u) {
         for (unsigned l = 0; l < kNumArcLabels; ++l) {
             const auto use = static_cast<ArcUse>(u);
@@ -163,68 +52,52 @@ writeJson(std::ostream &os, const DpgStats &stats)
             const std::uint64_t n = stats.arcs.count(use, label);
             if (n == 0)
                 continue;
-            w.field("<" + std::string(arcUseName(use)) + ":" +
-                        std::string(arcLabelName(label)).substr(1),
-                    n);
+            w.key("<" + std::string(arcUseName(use)) + ":" +
+                  std::string(arcLabelName(label)).substr(1))
+                .u64(n);
         }
     }
-    w.closeObject();
+    w.endObject();
 
     const Fig5Row f5 = fig5Row(stats);
-    w.openObject("overall_pct");
-    w.field("node_gen", f5.nodeGen);
-    w.field("node_prop", f5.nodeProp);
-    w.field("node_term", f5.nodeTerm);
-    w.field("arc_gen", f5.arcGen);
-    w.field("arc_prop", f5.arcProp);
-    w.field("arc_term", f5.arcTerm);
-    w.closeObject();
+    w.key("overall_pct").beginObject()
+        .key("node_gen").general(f5.nodeGen)
+        .key("node_prop").general(f5.nodeProp)
+        .key("node_term").general(f5.nodeTerm)
+        .key("arc_gen").general(f5.arcGen)
+        .key("arc_prop").general(f5.arcProp)
+        .key("arc_term").general(f5.arcTerm)
+        .endObject();
 
-    w.openObject("paths");
+    w.key("paths").beginObject();
     for (unsigned c = 0; c < kNumGeneratorClasses; ++c) {
-        w.field(std::string(generatorClassName(
-                    static_cast<GeneratorClass>(c))),
-                stats.paths.perClass[c]);
+        w.key(generatorClassName(static_cast<GeneratorClass>(c)))
+            .u64(stats.paths.perClass[c]);
     }
-    w.field("propagate_elements", stats.paths.propagateElements);
-    w.field("saturation_events", stats.paths.saturationEvents);
-    w.closeObject();
+    w.key("propagate_elements").u64(stats.paths.propagateElements)
+        .key("saturation_events").u64(stats.paths.saturationEvents)
+        .endObject();
 
     writeCurve(w, "tree_longest_cumulative", fig10Trees(stats));
     writeCurve(w, "influence_distance_cumulative",
                fig11Distance(stats));
 
-    w.openObject("branches");
+    w.key("branches").beginObject();
     for (unsigned s = 0; s < kNumBranchSigs; ++s) {
         const auto sig = static_cast<BranchSig>(s);
-        w.field(std::string(branchSigName(sig)) + "->p",
-                stats.branches.count(sig, true));
-        w.field(std::string(branchSigName(sig)) + "->n",
-                stats.branches.count(sig, false));
+        const std::string name(branchSigName(sig));
+        w.key(name + "->p").u64(stats.branches.count(sig, true))
+            .key(name + "->n").u64(stats.branches.count(sig, false));
     }
-    w.closeObject();
+    w.endObject();
 
-    w.openObject("unpredictability");
-    for (unsigned mask = 1; mask < 8; ++mask) {
-        const std::uint64_t n =
-            stats.unpred.count(static_cast<std::uint8_t>(mask));
-        if (n != 0) {
-            w.field(unpredMaskName(static_cast<std::uint8_t>(mask)),
-                    n);
-        }
+    w.key("unpredictability").beginObject();
+    for (std::uint8_t mask = 1; mask < 8; ++mask) {
+        if (const std::uint64_t n = stats.unpred.count(mask))
+            w.key(unpredMaskName(mask)).u64(n);
     }
-    w.closeObject();
-
-    w.closeObject();
-    os << "\n";
-}
-
-std::string
-toJson(const DpgStats &stats)
-{
-    std::ostringstream oss;
-    writeJson(oss, stats);
-    return oss.str();
+    w.endObject().endObject().newline();
+    return w.take();
 }
 
 } // namespace ppm

@@ -1,14 +1,13 @@
 /**
  * @file
  * JSON serialization of DpgStats for machine consumption (plotting
- * pipelines, regression tracking). Hand-rolled emitter — the schema
- * is small and fixed, and the repository carries no JSON dependency.
+ * pipelines, regression tracking): the `ppm analyze --report json`
+ * document, built with support/mini_json's JsonWriter.
  */
 
 #ifndef PPM_REPORT_JSON_EMITTER_HH
 #define PPM_REPORT_JSON_EMITTER_HH
 
-#include <iosfwd>
 #include <string>
 
 #include "dpg/dpg_analyzer.hh"
@@ -16,17 +15,11 @@
 namespace ppm {
 
 /**
- * Write @p stats as a single JSON object: run metadata, the raw
- * node/arc/branch counters, the figure percentages, and the
+ * @p stats as a single JSON object and a newline: run metadata, the
+ * raw node/arc/branch counters, the figure percentages, and the
  * cumulative curves. Stable key order; valid UTF-8 JSON.
  */
-void writeJson(std::ostream &os, const DpgStats &stats);
-
-/** Convenience: the same document as a string. */
 std::string toJson(const DpgStats &stats);
-
-/** Escape a string for embedding in JSON. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace ppm
 

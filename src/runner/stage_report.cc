@@ -3,10 +3,9 @@
 #include <cstdlib>
 #include <ostream>
 
-#include "analysis/figures.hh"
-#include "report/json_emitter.hh"
 #include "runner/engine.hh"
 #include "support/env.hh"
+#include "support/mini_json.hh"
 #include "support/string_utils.hh"
 
 namespace ppm {
@@ -60,18 +59,6 @@ accumulate(const std::vector<ExperimentEngine::TimedRun> &runs)
     return t;
 }
 
-bool
-quickMode()
-{
-    return envFlag("PPM_QUICK", false);
-}
-
-const char *
-boolStr(bool b)
-{
-    return b ? "true" : "false";
-}
-
 } // namespace
 
 void
@@ -82,68 +69,67 @@ writeBenchJson(std::ostream &os, const ExperimentEngine &engine)
     const double wall = engine.totalWallSec();
     const char *label = std::getenv("PPM_BENCH_LABEL");
 
-    os << "{";
-    os << "\"schema\":\"ppm-bench-timing-v3\"";
-    os << ",\"label\":\"" << jsonEscape(label ? label : "") << "\"";
-    os << ",\"threads\":" << engine.threads();
-    os << ",\"quick\":" << boolStr(quickMode());
-    os << ",\"wall_s\":" << wall;
-
-    os << ",\"runs\":[";
-    bool first = true;
+    JsonWriter w;
+    w.beginObject()
+        .key("schema").string("ppm-bench-timing-v3")
+        .key("label").string(label ? label : "")
+        .key("threads").u64(engine.threads())
+        .key("quick").boolean(envFlag("PPM_QUICK", false))
+        .key("wall_s").general(wall)
+        .key("runs").beginArray();
     for (const auto &run : runs) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"workload\":\"" << jsonEscape(run.workload) << "\""
-           << ",\"predictor\":\""
-           << jsonEscape(std::string(predictorName(run.kind))) << "\""
-           << ",\"assemble_s\":" << run.timing.assembleSec
-           << ",\"simulate_s\":" << run.timing.simulateSec
-           << ",\"analyze_s\":" << run.timing.analyzeSec
-           << ",\"dyn_instrs\":" << run.timing.dynInstrs
-           << ",\"capture_shared\":"
-           << boolStr(run.timing.captureShared)
-           << ",\"lanes\":" << run.timing.lanes
-           << ",\"lane\":" << run.timing.laneIndex
-           << ",\"sampled\":" << boolStr(run.timing.sampled);
-        if (run.timing.sampled) {
-            os << ",\"phases\":" << run.timing.phases
-               << ",\"sampled_instrs\":" << run.timing.sampledInstrs
-               << ",\"checkpoint_s\":" << run.timing.checkpointSec
-               << ",\"fastforward_s\":"
-               << run.timing.fastForwardSec;
+        const StageTiming &s = run.timing;
+        w.beginObject()
+            .key("workload").string(run.workload)
+            .key("predictor").string(predictorName(run.kind))
+            .key("assemble_s").general(s.assembleSec)
+            .key("simulate_s").general(s.simulateSec)
+            .key("analyze_s").general(s.analyzeSec)
+            .key("dyn_instrs").u64(s.dynInstrs)
+            .key("capture_shared").boolean(s.captureShared)
+            .key("lanes").u64(s.lanes)
+            .key("lane").u64(s.laneIndex)
+            .key("sampled").boolean(s.sampled);
+        if (s.sampled) {
+            w.key("phases").u64(s.phases)
+                .key("sampled_instrs").u64(s.sampledInstrs)
+                .key("checkpoint_s").general(s.checkpointSec)
+                .key("fastforward_s").general(s.fastForwardSec);
         }
-        os << "}";
+        w.endObject();
     }
-    os << "]";
+    w.endArray();
 
     // Costs paid once per pass (stream production), reported apart
     // from the per-lane analyze times above so that summing analyze_s
     // over runs plus shared_stages never double-counts.
-    os << ",\"shared_stages\":{"
-       << "\"simulate_s\":" << t.simulateSec
-       << ",\"dispatch_s\":" << t.dispatchSec
-       << ",\"checkpoint_s\":" << t.checkpointSec
-       << ",\"fastforward_s\":" << t.fastForwardSec
-       << ",\"passes\":" << t.passes << "}";
+    w.key("shared_stages").beginObject()
+        .key("simulate_s").general(t.simulateSec)
+        .key("dispatch_s").general(t.dispatchSec)
+        .key("checkpoint_s").general(t.checkpointSec)
+        .key("fastforward_s").general(t.fastForwardSec)
+        .key("passes").u64(t.passes)
+        .endObject();
 
-    os << ",\"totals\":{"
-       << "\"runs\":" << t.runs
-       << ",\"simulations\":" << t.simulations
-       << ",\"capture_hits\":" << t.captureHits
-       << ",\"assemble_s\":" << t.assembleSec
-       << ",\"simulate_s\":" << t.simulateSec
-       << ",\"analyze_s\":" << t.analyzeSec
-       << ",\"dispatch_s\":" << t.dispatchSec
-       << ",\"checkpoint_s\":" << t.checkpointSec
-       << ",\"fastforward_s\":" << t.fastForwardSec
-       << ",\"sampled_runs\":" << t.sampledRuns
-       << ",\"sampled_instrs\":" << t.sampledInstrs
-       << ",\"dyn_instrs\":" << t.dynInstrs
-       << ",\"instrs_per_s\":"
-       << (wall > 0.0 ? double(t.dynInstrs) / wall : 0.0) << "}";
-    os << "}\n";
+    w.key("totals").beginObject()
+        .key("runs").u64(t.runs)
+        .key("simulations").u64(t.simulations)
+        .key("capture_hits").u64(t.captureHits)
+        .key("assemble_s").general(t.assembleSec)
+        .key("simulate_s").general(t.simulateSec)
+        .key("analyze_s").general(t.analyzeSec)
+        .key("dispatch_s").general(t.dispatchSec)
+        .key("checkpoint_s").general(t.checkpointSec)
+        .key("fastforward_s").general(t.fastForwardSec)
+        .key("sampled_runs").u64(t.sampledRuns)
+        .key("sampled_instrs").u64(t.sampledInstrs)
+        .key("dyn_instrs").u64(t.dynInstrs)
+        .key("instrs_per_s")
+        .general(wall > 0.0 ? double(t.dynInstrs) / wall : 0.0)
+        .endObject()
+        .endObject()
+        .newline();
+    os << w.json();
 }
 
 void

@@ -1,7 +1,6 @@
 #include "serve/protocol.hh"
 
 #include <cmath>
-#include <cstdio>
 
 namespace ppm::serve {
 
@@ -36,68 +35,32 @@ predictorFromString(const std::string &s)
     return std::nullopt;
 }
 
-/** True when @p v is a number representing a non-negative integer. */
+/**
+ * True when @p v is a non-negative integer no larger than 2^53. Up to
+ * there a double holds every integer exactly; past it the parsed
+ * number may not be the one the client sent, and past 2^64 the cast
+ * to std::uint64_t is undefined.
+ */
 bool
 isUintNumber(const JsonValue &v)
 {
     return v.isNumber() && v.number >= 0 &&
+           v.number <= 9007199254740992.0 &&
            v.number == std::floor(v.number);
 }
 
-/** Format seconds with fixed precision (canonical, locale-free). */
-std::string
-secStr(double s)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6f", s);
-    return buf;
-}
-
-const char *
-boolStr(bool b)
-{
-    return b ? "true" : "false";
-}
-
-std::string
+JsonWriter
 responseHead(const std::string &id, const char *status)
 {
-    std::string out = "{\"schema\":\"";
-    out += kServeSchema;
-    out += "\",\"id\":\"";
-    out += jsonEscape(id);
-    out += "\",\"status\":\"";
-    out += status;
-    out += "\"";
-    return out;
+    JsonWriter w;
+    w.beginObject()
+        .key("schema").string(kServeSchema)
+        .key("id").string(id)
+        .key("status").string(status);
+    return w;
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
 
 std::vector<std::string>
 validateRequest(const JsonValue &doc)
@@ -130,13 +93,12 @@ validateRequest(const JsonValue &doc)
 
     if (const JsonValue *id = doc.find("id"); id && !id->isString())
         errors.push_back("\"id\" must be a string");
-    if (const JsonValue *s = doc.find("seed");
-        s && !isUintNumber(*s))
-        errors.push_back("\"seed\" must be a non-negative integer");
-    if (const JsonValue *m = doc.find("max_instrs");
-        m && !isUintNumber(*m)) {
-        errors.push_back(
-            "\"max_instrs\" must be a non-negative integer");
+    for (const char *field : {"seed", "max_instrs"}) {
+        if (const JsonValue *v = doc.find(field);
+            v && !isUintNumber(*v)) {
+            errors.push_back(std::string("\"") + field +
+                             "\" must be an integer from 0 to 2^53");
+        }
     }
     if (const JsonValue *p = doc.find("predictor")) {
         if (!p->isString() ||
@@ -210,49 +172,42 @@ std::string
 okResponse(const std::string &id, const std::string &fingerprint,
            const ResponseTiming &timing)
 {
-    std::string out = responseHead(id, "ok");
-    out += ",\"fingerprint\":";
-    out += fingerprint; // Already canonical JSON; embedded verbatim.
-    out += ",\"timing\":{\"queue_sec\":";
-    out += secStr(timing.queueSec);
-    out += ",\"simulate_sec\":";
-    out += secStr(timing.simulateSec);
-    out += ",\"analyze_sec\":";
-    out += secStr(timing.analyzeSec);
-    out += ",\"dyn_instrs\":";
-    out += std::to_string(timing.dynInstrs);
-    out += ",\"capture_shared\":";
-    out += boolStr(timing.captureShared);
-    out += ",\"fused\":";
-    out += boolStr(timing.fused);
-    out += "}}";
-    return out;
+    return responseHead(id, "ok")
+        .key("fingerprint").raw(fingerprint)
+        .key("timing").beginObject()
+        .key("queue_sec").fixed(timing.queueSec, 6)
+        .key("simulate_sec").fixed(timing.simulateSec, 6)
+        .key("analyze_sec").fixed(timing.analyzeSec, 6)
+        .key("dyn_instrs").u64(timing.dynInstrs)
+        .key("capture_shared").boolean(timing.captureShared)
+        .key("fused").boolean(timing.fused)
+        .endObject()
+        .endObject()
+        .take();
 }
 
 std::string
 errorResponse(const std::string &id, const std::string &message)
 {
-    std::string out = responseHead(id, "error");
-    out += ",\"error\":\"";
-    out += jsonEscape(message);
-    out += "\"}";
-    return out;
+    return responseHead(id, "error")
+        .key("error").string(message)
+        .endObject()
+        .take();
 }
 
 std::string
 overloadedResponse(const std::string &id, const std::string &message)
 {
-    std::string out = responseHead(id, "overloaded");
-    out += ",\"error\":\"";
-    out += jsonEscape(message);
-    out += "\"}";
-    return out;
+    return responseHead(id, "overloaded")
+        .key("error").string(message)
+        .endObject()
+        .take();
 }
 
 std::string
 pongResponse(const std::string &id)
 {
-    return responseHead(id, "ok") + "}";
+    return responseHead(id, "ok").endObject().take();
 }
 
 bool
@@ -270,11 +225,7 @@ responseOk(const std::string &line)
 std::string
 statsResponse(const std::string &id, const std::string &body)
 {
-    std::string out = responseHead(id, "ok");
-    out += ",\"stats\":";
-    out += body;
-    out += "}";
-    return out;
+    return responseHead(id, "ok").key("stats").raw(body).endObject().take();
 }
 
 } // namespace ppm::serve

@@ -116,8 +116,8 @@ std::vector<std::string> validateRequest(const JsonValue &doc);
  */
 ServeRequest parseRequest(const JsonValue &doc);
 
-/** JSON-escape @p s (quotes, backslashes, control bytes). */
-std::string jsonEscape(const std::string &s);
+/** The JSON string escaper every ppm document uses. */
+using ppm::jsonEscape;
 
 /**
  * True iff @p line parses as a response object with "status":"ok".

@@ -1,7 +1,6 @@
 #include "serve/server.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +15,7 @@
 
 #include "dpg/dpg_analyzer.hh"
 #include "runner/trace_import.hh"
+#include "support/mini_json.hh"
 #include "verify/families.hh"
 #include "verify/fingerprint.hh"
 #include "workloads/workload.hh"
@@ -59,6 +59,18 @@ struct ActiveGuard
     std::atomic<unsigned> &n;
     ~ActiveGuard() { --n; }
 };
+
+/** Refuse a request whose instruction budget exceeds the cap. */
+void
+checkBudget(std::uint64_t budget, std::uint64_t cap)
+{
+    if (budget > cap) {
+        throw std::runtime_error("instruction budget " +
+                                 std::to_string(budget) +
+                                 " exceeds server cap " +
+                                 std::to_string(cap));
+    }
+}
 
 std::string
 joinMessages(const std::vector<std::string> &msgs)
@@ -323,48 +335,51 @@ Server::connectionLoop(Conn &conn)
 std::string
 Server::handleLine(const std::string &line)
 {
+    // Each line is counted once, by the response it gets.
+    std::string id;
+    std::uint64_t *count = &stats_.served;
+    std::string response;
+    try {
+        response = respond(line, id, count);
+    } catch (const std::exception &e) {
+        response = errorResponse(id, e.what());
+        count = &stats_.failed;
+    }
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    ++*count;
+    return response;
+}
+
+std::string
+Server::respond(const std::string &line, std::string &id,
+                std::uint64_t *&count)
+{
     JsonValue doc;
     try {
         doc = parseJson(line);
     } catch (const JsonError &e) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.failed;
-        return errorResponse("", std::string("malformed JSON: ") +
-                                     e.what());
+        throw std::runtime_error(std::string("malformed JSON: ") +
+                                 e.what());
     }
 
     // Echo the id even on invalid requests, when one is present.
-    std::string id;
     if (const JsonValue *idv = doc.find("id");
         idv && idv->isString())
         id = idv->str;
 
     const std::vector<std::string> violations = validateRequest(doc);
-    if (!violations.empty()) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.failed;
-        return errorResponse(id, joinMessages(violations));
-    }
+    if (!violations.empty())
+        throw std::runtime_error(joinMessages(violations));
 
     const ServeRequest req = parseRequest(doc);
     switch (req.kind) {
-    case RequestKind::Ping: {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.served;
+    case RequestKind::Ping:
         return pongResponse(req.id);
-    }
-    case RequestKind::Stats: {
-        const std::string body = statsBody();
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.served;
-        return statsResponse(req.id, body);
-    }
-    case RequestKind::Shutdown: {
+    case RequestKind::Stats:
+        return statsResponse(req.id, statsBody());
+    case RequestKind::Shutdown:
         requestStop(); // Drain begins; this response still flushes.
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.served;
         return pongResponse(req.id);
-    }
     case RequestKind::Analyze:
     case RequestKind::Trace:
         break;
@@ -376,8 +391,7 @@ Server::handleLine(const std::string &line)
     unsigned cur = activeRequests_.load(std::memory_order_relaxed);
     do {
         if (cur >= opts_.maxInflight) {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++stats_.overloaded;
+            count = &stats_.overloaded;
             return overloadedResponse(
                 req.id, std::to_string(cur) +
                             " requests in flight (limit " +
@@ -390,22 +404,8 @@ Server::handleLine(const std::string &line)
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.accepted;
     }
-
-    std::string response;
-    try {
-        response = req.kind == RequestKind::Analyze
-                       ? handleAnalyze(req)
-                       : handleTrace(req);
-    } catch (const std::exception &e) {
-        response = errorResponse(req.id, e.what());
-    }
-
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    if (response.find("\"status\":\"ok\"") != std::string::npos)
-        ++stats_.served;
-    else
-        ++stats_.failed;
-    return response;
+    return req.kind == RequestKind::Analyze ? handleAnalyze(req)
+                                            : handleTrace(req);
 }
 
 std::string
@@ -451,21 +451,15 @@ Server::handleAnalyze(const ServeRequest &req)
         }
     } catch (const std::out_of_range &) {
         const bool wl = !req.workload.empty();
-        return errorResponse(
-            req.id, std::string(wl ? "unknown workload \""
-                                   : "unknown family \"") +
-                        (wl ? req.workload : req.family) + "\"");
+        throw std::runtime_error(
+            std::string(wl ? "unknown workload \""
+                           : "unknown family \"") +
+            (wl ? req.workload : req.family) + "\"");
     }
 
     if (req.maxInstrs)
         budget = *req.maxInstrs;
-    if (budget > opts_.maxInstrsCap) {
-        return errorResponse(
-            req.id,
-            "instruction budget " + std::to_string(budget) +
-                " exceeds server cap " +
-                std::to_string(opts_.maxInstrsCap));
-    }
+    checkBudget(budget, opts_.maxInstrsCap);
 
     const std::vector<PredictorKind> kinds = requestKinds(req);
     std::vector<ExperimentJob> jobs;
@@ -516,22 +510,14 @@ Server::handleTrace(const ServeRequest &req)
     std::istringstream in(req.records);
     const ImportedTrace trace = parseBranchTrace(in, name);
 
-    std::uint64_t budget = opts_.defaultMaxInstrs;
-    if (req.maxInstrs)
-        budget = *req.maxInstrs;
-    if (budget > opts_.maxInstrsCap) {
-        return errorResponse(
-            req.id,
-            "instruction budget " + std::to_string(budget) +
-                " exceeds server cap " +
-                std::to_string(opts_.maxInstrsCap));
-    }
+    const std::uint64_t budget =
+        req.maxInstrs.value_or(opts_.defaultMaxInstrs);
+    checkBudget(budget, opts_.maxInstrsCap);
     if (trace.stream.size() > budget) {
-        return errorResponse(
-            req.id, "trace has " +
-                        std::to_string(trace.stream.size()) +
-                        " records, over the request budget of " +
-                        std::to_string(budget));
+        throw std::runtime_error(
+            "trace has " + std::to_string(trace.stream.size()) +
+            " records, over the request budget of " +
+            std::to_string(budget));
     }
 
     // Same pass as `ppm import`, run on the connection thread:
@@ -573,34 +559,24 @@ Server::statsBody()
                           static_cast<double>(lookups)
                     : 0.0;
 
-    char rate[32];
-    std::snprintf(rate, sizeof rate, "%.2f", hitRate);
-    std::string out = "{\"connections\":";
-    out += std::to_string(s.connections);
-    out += ",\"accepted\":";
-    out += std::to_string(s.accepted);
-    out += ",\"served\":";
-    out += std::to_string(s.served);
-    out += ",\"failed\":";
-    out += std::to_string(s.failed);
-    out += ",\"overloaded\":";
-    out += std::to_string(s.overloaded);
-    out += ",\"inflight\":";
-    out += std::to_string(engine_.inflight());
-    out += ",\"queue_depth\":";
-    out += std::to_string(engine_.queueDepth());
-    out += ",\"cache\":{\"capture_hits\":";
-    out += std::to_string(c.captureHits);
-    out += ",\"capture_misses\":";
-    out += std::to_string(c.captureMisses);
-    out += ",\"hit_rate_pct\":";
-    out += rate;
-    out += ",\"retained_bytes\":";
-    out += std::to_string(engine_.cache().retainedBytes());
-    out += ",\"capture_evictions\":";
-    out += std::to_string(c.captureEvictions);
-    out += "}}";
-    return out;
+    JsonWriter w;
+    w.beginObject()
+        .key("connections").u64(s.connections)
+        .key("accepted").u64(s.accepted)
+        .key("served").u64(s.served)
+        .key("failed").u64(s.failed)
+        .key("overloaded").u64(s.overloaded)
+        .key("inflight").u64(engine_.inflight())
+        .key("queue_depth").u64(engine_.queueDepth())
+        .key("cache").beginObject()
+        .key("capture_hits").u64(c.captureHits)
+        .key("capture_misses").u64(c.captureMisses)
+        .key("hit_rate_pct").fixed(hitRate, 2)
+        .key("retained_bytes").u64(engine_.cache().retainedBytes())
+        .key("capture_evictions").u64(c.captureEvictions)
+        .endObject()
+        .endObject();
+    return w.take();
 }
 
 ServerStats

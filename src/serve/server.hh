@@ -145,8 +145,22 @@ class Server
     void acceptLoop();
     void connectionLoop(Conn &conn);
 
-    /** Run one parsed request line; returns the response line. */
+    /** Run one request line; returns the response line. */
     std::string handleLine(const std::string &line);
+
+    /**
+     * The response to @p line, which sets @p id to the request's id
+     * and @p count to the ServerStats counter it belongs to when that
+     * is not `served`. A request that fails throws, carrying the
+     * error message.
+     */
+    std::string respond(const std::string &line, std::string &id,
+                        std::uint64_t *&count);
+    /**
+     * Run an admitted analyze/trace request and return its ok
+     * response; a request it cannot serve throws, carrying the error
+     * message.
+     */
     std::string handleAnalyze(const ServeRequest &req);
     std::string handleTrace(const ServeRequest &req);
     std::string statsBody();

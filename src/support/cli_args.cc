@@ -1,7 +1,5 @@
 #include "support/cli_args.hh"
 
-#include <stdexcept>
-
 #include "support/string_utils.hh"
 
 namespace ppm {
@@ -63,26 +61,26 @@ CliArgs::option(const std::string &name) const
     const Opt *opt = find(name);
     if (!opt)
         return std::nullopt;
-    if (!opt->value) {
-        throw std::runtime_error("option --" + name +
-                                 " needs a value");
-    }
+    if (!opt->value)
+        throw CliError("option --" + name + " needs a value");
     return opt->value;
 }
 
-std::optional<std::int64_t>
-CliArgs::intOption(const std::string &name) const
+std::optional<std::uint64_t>
+CliArgs::intOption(const std::string &name, std::uint64_t max) const
 {
     const auto v = option(name);
     if (!v)
         return std::nullopt;
-    std::size_t used = 0;
-    const std::int64_t out = std::stoll(*v, &used, 0);
-    if (used != v->size()) {
-        throw std::runtime_error("option --" + name +
-                                 " is not a number: " + *v);
+    const auto n = parseUint(*v);
+    if (!n || *n > max) {
+        std::string want = "an unsigned integer";
+        if (max != std::numeric_limits<std::uint64_t>::max())
+            want += " up to " + std::to_string(max);
+        throw CliError("option --" + name + " wants " + want +
+                       ", got '" + *v + "'");
     }
-    return out;
+    return n;
 }
 
 std::vector<std::string>

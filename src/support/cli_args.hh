@@ -11,11 +11,20 @@
 #define PPM_SUPPORT_CLI_ARGS_HH
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace ppm {
+
+/** An option was given without its value or with a malformed one. */
+class CliError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Parsed argv. */
 class CliArgs
@@ -38,12 +47,21 @@ class CliArgs
     /** True when `--name` appeared (with or without a value). */
     bool flag(const std::string &name) const;
 
-    /** Value of `--name=v` or `--name v`; nullopt when absent. */
+    /**
+     * Value of `--name=v` or `--name v`; nullopt when absent. Throws
+     * CliError when the option was given without a value.
+     */
     std::optional<std::string> option(const std::string &name) const;
 
-    /** Like option(), parsed as an integer; throws on garbage. */
-    std::optional<std::int64_t>
-    intOption(const std::string &name) const;
+    /**
+     * Like option(), parsed with parseUint (decimal or 0x hex, no
+     * sign). Throws CliError naming the option when the value does
+     * not parse or exceeds @p max.
+     */
+    std::optional<std::uint64_t> intOption(
+        const std::string &name,
+        std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+        const;
 
     /** Option names that were never queried (typo detection). */
     std::vector<std::string> unconsumedOptions() const;

@@ -1,8 +1,9 @@
 #include "support/env.hh"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdlib>
+
+#include "support/string_utils.hh"
 
 namespace ppm {
 
@@ -13,20 +14,12 @@ envUint(const char *name, std::uint64_t fallback, std::uint64_t min)
     if (!s || !*s)
         return fallback;
 
-    // strtoull accepts a leading '-' (wrapping the value) and skips
-    // leading whitespace; reject both explicitly so PPM_THREADS=-2
-    // cannot masquerade as a huge count and ' 12' is as loud as '1 2'.
-    if (*s == '-' || std::isspace(static_cast<unsigned char>(*s))) {
+    const auto parsed = parseUint(s);
+    if (!parsed) {
         throw EnvError(std::string(name) + ": expected an unsigned " +
                        "integer, got '" + s + "'");
     }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        throw EnvError(std::string(name) + ": expected an unsigned " +
-                       "integer, got '" + s + "'");
-    }
+    const std::uint64_t v = *parsed;
     if (v < min) {
         throw EnvError(std::string(name) + ": value " + s +
                        " is below the minimum of " +

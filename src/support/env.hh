@@ -24,9 +24,10 @@ class EnvError : public std::runtime_error
 };
 
 /**
- * Parse @p name as an unsigned integer. Unset or empty returns
- * @p fallback; a non-numeric, negative, overflowing, or
- * below-@p min value throws EnvError naming the variable.
+ * Parse @p name as an unsigned integer (parseUint: decimal or 0x
+ * hex). Unset or empty returns @p fallback; a non-numeric, signed,
+ * overflowing, or below-@p min value throws EnvError naming the
+ * variable.
  */
 std::uint64_t envUint(const char *name, std::uint64_t fallback,
                       std::uint64_t min = 0);

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 namespace ppm {
 
@@ -352,6 +353,123 @@ JsonValue
 parseJson(std::string_view text)
 {
     return Parser(text).document();
+}
+
+namespace {
+
+/** Append @p s escaped, copying each run of plain bytes at once. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    std::size_t plain = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, plain, i - plain);
+        plain = i + 1;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            out += "\\u00";
+            out += "0123456789abcdef"[c >> 4];
+            out += "0123456789abcdef"[c & 0xf];
+        }
+    }
+    out.append(s, plain);
+}
+
+} // namespace
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
+    return out;
+}
+
+void
+JsonWriter::separate()
+{
+    if (!first_ && !keyed_)
+        out_ += ',';
+    first_ = keyed_ = false;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    string(name);
+    out_ += ':';
+    keyed_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::open(char bracket)
+{
+    separate();
+    out_ += bracket;
+    first_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char bracket)
+{
+    out_ += bracket;
+    first_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(std::string_view v)
+{
+    separate();
+    out_ += '"';
+    appendEscaped(out_, v);
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::raw(std::string_view json)
+{
+    separate();
+    out_ += json;
+    return *this;
+}
+
+/** @p v as printf would print it with @p format's conversion. */
+JsonWriter &
+JsonWriter::number(double v, std::chars_format format, int precision)
+{
+    if (!std::isfinite(v))
+        throw JsonError("JSON cannot encode a NaN or an infinity");
+    char buf[512];
+    const auto rc =
+        std::to_chars(buf, buf + sizeof buf, v, format, precision);
+    if (rc.ec != std::errc{})
+        throw JsonError("number too long to encode");
+    return raw(std::string_view(buf, rc.ptr - buf));
+}
+
+JsonWriter &
+JsonWriter::fixed(double v, int decimals)
+{
+    return number(v, std::chars_format::fixed, decimals);
+}
+
+JsonWriter &
+JsonWriter::general(double v)
+{
+    return number(v, std::chars_format::general, 6);
 }
 
 } // namespace ppm

@@ -1,12 +1,15 @@
 /**
  * @file
- * Small string helpers used by the assembler and report printers.
+ * Small string helpers used by the assembler and report printers,
+ * and the one integer parser for numbers that come from outside
+ * (command-line options and PPM_* variables).
  */
 
 #ifndef PPM_SUPPORT_STRING_UTILS_HH
 #define PPM_SUPPORT_STRING_UTILS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +33,16 @@ std::string formatCount(std::uint64_t v);
 
 /** Render a double with @p decimals digits. */
 std::string formatDouble(double v, int decimals = 2);
+
+/**
+ * All of @p text as an unsigned integer, in decimal or 0x-prefixed
+ * hex. A sign, whitespace, a trailing byte or a value past 2^64 - 1
+ * yields nullopt.
+ */
+std::optional<std::uint64_t> parseUint(std::string_view text);
+
+/** parseUint after an optional '-', within std::int64_t's range. */
+std::optional<std::int64_t> parseInt(std::string_view text);
 
 } // namespace ppm
 

@@ -1,47 +1,11 @@
 #include "verify/fingerprint.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "analysis/figures.hh"
 #include "support/mini_json.hh"
 
 namespace ppm::verify {
 
 namespace {
-
-/** printf-canonical ratio: fixed 4 decimals, no locale dependence. */
-std::string
-pct(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.4f", v);
-    return buf;
-}
-
-std::string
-u64(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-    return buf;
-}
-
-/** Minimal JSON string escaping (sources are file/family names). */
-std::string
-jstr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue;
-        out += c;
-    }
-    out += '"';
-    return out;
-}
 
 constexpr ArcUse kUses[] = {ArcUse::Single, ArcUse::Repeated,
                             ArcUse::WriteOnce, ArcUse::DataRead};
@@ -51,8 +15,8 @@ constexpr ArcLabel kLabels[] = {ArcLabel::NN, ArcLabel::NP,
                                 ArcLabel::PN, ArcLabel::PP};
 
 /** One predictor's entry. */
-std::string
-predictorEntry(const DpgStats &s)
+void
+writePredictorEntry(JsonWriter &w, const DpgStats &s)
 {
     const Fig5Row f = fig5Row(s);
 
@@ -67,36 +31,25 @@ predictorEntry(const DpgStats &s)
         classified ? 100.0 * double(gen + prop) / double(classified)
                    : 0.0;
 
-    std::string out = "{";
-    out += "\"predictor\":\"";
-    out += predictorLetter(s.kind);
-    out += "\",";
-    out += "\"output_acc_pct\":" + pct(outAcc) + ",";
-    out += "\"gshare_acc_pct\":" + pct(100.0 * s.gshareAccuracy) +
-           ",";
-    out += "\"node_gen_pct\":" + pct(f.nodeGen) + ",";
-    out += "\"node_prop_pct\":" + pct(f.nodeProp) + ",";
-    out += "\"node_term_pct\":" + pct(f.nodeTerm) + ",";
-    out += "\"arc_gen_pct\":" + pct(f.arcGen) + ",";
-    out += "\"arc_prop_pct\":" + pct(f.arcProp) + ",";
-    out += "\"arc_term_pct\":" + pct(f.arcTerm) + ",";
-    out += "\"arcs\":" + u64(s.arcs.total()) + ",";
-    out += "\"arc_mix\":{";
+    w.beginObject()
+        .key("predictor").string(std::string(1, predictorLetter(s.kind)))
+        .key("output_acc_pct").fixed(outAcc, 4)
+        .key("gshare_acc_pct").fixed(100.0 * s.gshareAccuracy, 4)
+        .key("node_gen_pct").fixed(f.nodeGen, 4)
+        .key("node_prop_pct").fixed(f.nodeProp, 4)
+        .key("node_term_pct").fixed(f.nodeTerm, 4)
+        .key("arc_gen_pct").fixed(f.arcGen, 4)
+        .key("arc_prop_pct").fixed(f.arcProp, 4)
+        .key("arc_term_pct").fixed(f.arcTerm, 4)
+        .key("arcs").u64(s.arcs.total())
+        .key("arc_mix").beginObject();
     for (unsigned u = 0; u < 4; ++u) {
-        if (u)
-            out += ",";
-        out += "\"";
-        out += kUseKeys[u];
-        out += "\":[";
-        for (unsigned l = 0; l < 4; ++l) {
-            if (l)
-                out += ",";
-            out += u64(s.arcs.count(kUses[u], kLabels[l]));
-        }
-        out += "]";
+        w.key(kUseKeys[u]).beginArray();
+        for (ArcLabel label : kLabels)
+            w.u64(s.arcs.count(kUses[u], label));
+        w.endArray();
     }
-    out += "}}";
-    return out;
+    w.endObject().endObject();
 }
 
 /** Fetch a finite number member or report. */
@@ -130,20 +83,17 @@ std::string
 fingerprintJson(const std::string &source, std::uint64_t seed,
                 const std::vector<DpgStats> &runs)
 {
-    std::string out = "{";
-    out += "\"schema\":\"ppm-fingerprint-v1\",";
-    out += "\"source\":" + jstr(source) + ",";
-    out += "\"seed\":" + u64(seed) + ",";
-    out += "\"dyn_instrs\":" +
-           u64(runs.empty() ? 0 : runs.front().dynInstrs) + ",";
-    out += "\"predictors\":[";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        if (i)
-            out += ",";
-        out += predictorEntry(runs[i]);
-    }
-    out += "]}";
-    return out;
+    JsonWriter w;
+    w.beginObject()
+        .key("schema").string("ppm-fingerprint-v1")
+        .key("source").string(source)
+        .key("seed").u64(seed)
+        .key("dyn_instrs").u64(runs.empty() ? 0 : runs.front().dynInstrs)
+        .key("predictors").beginArray();
+    for (const DpgStats &run : runs)
+        writePredictorEntry(w, run);
+    w.endArray().endObject();
+    return w.take();
 }
 
 std::vector<std::string>
@@ -271,16 +221,15 @@ validateCorpus(const JsonValue &doc)
 std::string
 corpusJson(const std::vector<std::string> &fingerprints)
 {
-    std::string out = "{\"schema\":\"ppm-fuzz-corpus-v1\",";
-    out += "\"programs\":[";
-    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-        if (i)
-            out += ",";
-        out += "\n";
-        out += fingerprints[i];
-    }
-    out += "\n]}\n";
-    return out;
+    // One program per line: the committed corpus diffs line by line.
+    JsonWriter w;
+    w.beginObject()
+        .key("schema").string("ppm-fuzz-corpus-v1")
+        .key("programs").beginArray();
+    for (const std::string &fp : fingerprints)
+        w.raw("\n" + fp);
+    w.newline().endArray().endObject().newline();
+    return w.take();
 }
 
 } // namespace ppm::verify

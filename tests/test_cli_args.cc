@@ -50,6 +50,24 @@ TEST(CliArgs, IntOptionParsesHexAndRejectsGarbage)
     const CliArgs args = make({"--max=0x40", "--bad=12x"});
     EXPECT_EQ(args.intOption("max"), 0x40);
     EXPECT_THROW(args.intOption("bad"), std::exception);
+
+    // The whole value is one unsigned decimal or hex number within
+    // the option's bound; anything else names the option.
+    const CliArgs more =
+        make({"--neg=-5", "--exp=1e3", "--big=18446744073709551616",
+              "--sp= 7", "--port=65536", "--ok=65535", "--oct=010"});
+    for (const char *name : {"neg", "exp", "big", "sp"})
+        EXPECT_THROW(more.intOption(name), CliError) << name;
+    EXPECT_THROW(more.intOption("port", 65535), CliError);
+    EXPECT_EQ(more.intOption("ok", 65535), 65535u);
+    EXPECT_EQ(more.intOption("oct"), 10u); // Decimal, not octal.
+    try {
+        more.intOption("neg");
+    } catch (const CliError &e) {
+        EXPECT_NE(std::string(e.what()).find("--neg"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CliArgs, MissingOptionIsNullopt)

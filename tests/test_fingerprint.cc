@@ -139,6 +139,20 @@ TEST(Fingerprint, CorpusWrapsAndValidates)
     EXPECT_NE(errors.front().find("programs[1]"), std::string::npos);
 }
 
+// A source name is escaped, not filtered: a control byte survives the
+// round trip and keeps two differently named traces apart.
+TEST(Fingerprint, SourceKeepsControlBytes)
+{
+    const std::vector<DpgStats> runs(1);
+    const std::string name = "trace:a\x01" "b.trace";
+    const std::string fp = verify::fingerprintJson(name, 0, runs);
+    EXPECT_NE(fp.find("\"source\":\"trace:a\\u0001b.trace\""),
+              std::string::npos)
+        << fp;
+    EXPECT_EQ(parseJson(fp).at("source").str, name);
+    EXPECT_NE(fp, verify::fingerprintJson("trace:ab.trace", 0, runs));
+}
+
 TEST(FuzzFarm, SliceSweepProducesValidCorpus)
 {
     verify::FuzzOptions options;

@@ -266,6 +266,25 @@ TEST(StringUtils, FormatPercentAndDouble)
 
 // --- TablePrinter ---------------------------------------------------------
 
+TEST(StringUtils, ParseUintAndIntAreStrict)
+{
+    EXPECT_EQ(parseUint("0"), 0u);
+    EXPECT_EQ(parseUint("0x1F"), 31u);
+    EXPECT_EQ(parseUint("18446744073709551615"), UINT64_MAX);
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "1x", "1e3",
+                            "0x", "18446744073709551616", "1.5"})
+        EXPECT_FALSE(parseUint(bad).has_value()) << bad;
+
+    EXPECT_EQ(parseInt("-5"), -5);
+    EXPECT_EQ(parseInt("-0x10"), -16);
+    EXPECT_EQ(parseInt("-9223372036854775808"), INT64_MIN);
+    EXPECT_EQ(parseInt("9223372036854775807"), INT64_MAX);
+    for (const char *bad : {"", "-", "--1", "5x", "abc",
+                            "9223372036854775808",
+                            "-9223372036854775809"})
+        EXPECT_FALSE(parseInt(bad).has_value()) << bad;
+}
+
 TEST(TablePrinter, AlignsAndRules)
 {
     TablePrinter t("title");

@@ -54,12 +54,14 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <fstream>
-#include <memory>
 #include <iostream>
+#include <limits>
+#include <memory>
 #include <sstream>
 
 #include "analysis/experiment.hh"
@@ -92,6 +94,8 @@
 namespace {
 
 using namespace ppm;
+
+constexpr std::uint64_t kMaxPort = 65535;
 
 [[noreturn]] void
 usage(const std::string &message = "")
@@ -152,15 +156,23 @@ parsePredictor(const std::string &name)
     usage("unknown predictor '" + name + "'");
 }
 
+/** One signed input value; a malformed one names @p where. */
+Value
+parseValue(std::string_view text, const std::string &where)
+{
+    const auto v = parseInt(text);
+    if (!v)
+        usage("bad value '" + std::string(text) + "' in " + where);
+    return static_cast<Value>(*v);
+}
+
 std::vector<Value>
 parseInputList(const std::string &list)
 {
     std::vector<Value> out;
     for (const auto piece : splitAndTrim(list, ',')) {
-        if (piece.empty())
-            continue;
-        out.push_back(static_cast<Value>(
-            std::stoll(std::string(piece), nullptr, 0)));
+        if (!piece.empty())
+            out.push_back(parseValue(piece, "--input"));
     }
     return out;
 }
@@ -177,8 +189,7 @@ parseInputFile(const std::string &path)
         const auto t = trim(line);
         if (t.empty() || t[0] == '#')
             continue;
-        out.push_back(static_cast<Value>(
-            std::stoll(std::string(t), nullptr, 0)));
+        out.push_back(parseValue(t, path));
     }
     return out;
 }
@@ -195,9 +206,8 @@ Target
 resolveTarget(const std::string &name, const CliArgs &args)
 {
     Target t;
-    const std::uint64_t seed = static_cast<std::uint64_t>(
-        args.intOption("seed").value_or(
-            static_cast<std::int64_t>(kDefaultWorkloadSeed)));
+    const std::uint64_t seed =
+        args.intOption("seed").value_or(kDefaultWorkloadSeed);
 
     // Workload names win; anything else is a file path.
     for (const Workload &w : allWorkloads()) {
@@ -277,8 +287,8 @@ cmdRun(const CliArgs &args)
     if (args.positionals().size() != 2)
         usage("run needs a file");
     Target t = resolveTarget(args.positionals()[1], args);
-    const std::uint64_t max_instrs = static_cast<std::uint64_t>(
-        args.intOption("max").value_or(4'000'000));
+    const std::uint64_t max_instrs =
+        args.intOption("max").value_or(4'000'000);
 
     TracePrinter printer;
     Machine m(t.program, std::move(t.input));
@@ -301,8 +311,7 @@ cmdAnalyze(const CliArgs &args)
     Target t = resolveTarget(args.positionals()[1], args);
 
     ExperimentConfig config;
-    config.maxInstrs = static_cast<std::uint64_t>(
-        args.intOption("max").value_or(4'000'000));
+    config.maxInstrs = args.intOption("max").value_or(4'000'000);
 
     std::vector<PredictorKind> kinds;
     if (args.flag("all-predictors")) {
@@ -379,7 +388,7 @@ cmdAnalyze(const CliArgs &args)
             table.print(std::cout);
             std::cout << "\n";
         } else if (r == "json") {
-            writeJson(std::cout, s);
+            std::cout << toJson(s);
         } else if (r == "critical") {
             TablePrinter table("Critical generate sites");
             table.addRow({"pc", "instruction", "class", "generates",
@@ -409,8 +418,7 @@ cmdGraph(const CliArgs &args)
     if (args.positionals().size() != 2)
         usage("graph needs a file or workload name");
     Target t = resolveTarget(args.positionals()[1], args);
-    const std::size_t window = static_cast<std::size_t>(
-        args.intOption("window").value_or(64));
+    const std::size_t window = args.intOption("window").value_or(64);
 
     DpgGraphBuilder builder(
         t.program,
@@ -441,8 +449,7 @@ cmdMetrics(const CliArgs &args)
                                  : "compress",
                              args);
     ExperimentConfig config;
-    config.maxInstrs = static_cast<std::uint64_t>(
-        args.intOption("max").value_or(200'000));
+    config.maxInstrs = args.intOption("max").value_or(200'000);
     config.dpg.kind =
         parsePredictor(args.option("predictor").value_or("context"));
 
@@ -466,18 +473,17 @@ void
 parseSeedRange(const std::string &spec, std::uint64_t &lo,
                std::uint64_t &hi)
 {
-    const auto dash = spec.find('-');
-    try {
-        if (dash == std::string::npos) {
-            lo = 1;
-            hi = std::stoull(spec);
-        } else {
-            lo = std::stoull(spec.substr(0, dash));
-            hi = std::stoull(spec.substr(dash + 1));
-        }
-    } catch (const std::exception &) {
+    const std::string_view text(spec);
+    const auto dash = text.find('-');
+    const auto first = dash == std::string_view::npos
+                           ? std::optional<std::uint64_t>(1)
+                           : parseUint(text.substr(0, dash));
+    const auto last = parseUint(
+        dash == std::string_view::npos ? text : text.substr(dash + 1));
+    if (!first || !last)
         usage("bad --seeds '" + spec + "' (want N or LO-HI)");
-    }
+    lo = *first;
+    hi = *last;
     if (lo > hi)
         usage("bad --seeds '" + spec + "' (LO exceeds HI)");
 }
@@ -630,32 +636,33 @@ cmdConverge(const CliArgs &args)
     for (const auto piece : splitAndTrim(budgetList, ',')) {
         if (piece.empty())
             continue;
-        try {
-            budgets.push_back(std::stoull(std::string(piece)));
-        } catch (const std::exception &) {
+        const auto budget = parseUint(piece);
+        if (!budget) {
             usage("bad --budgets value '" + std::string(piece) +
                   "'");
         }
+        budgets.push_back(*budget);
     }
     if (budgets.empty())
         usage("--budgets needs at least one budget");
 
     SampleOptions sopts;
-    sopts.intervalLen = static_cast<std::uint64_t>(
-        args.intOption("interval").value_or(100'000));
-    sopts.warmupLen = static_cast<std::uint64_t>(
-        args.intOption("warmup").value_or(50'000));
+    sopts.intervalLen = args.intOption("interval").value_or(100'000);
+    sopts.warmupLen = args.intOption("warmup").value_or(50'000);
     sopts.maxPhases = static_cast<unsigned>(
-        args.intOption("phases").value_or(8));
+        args.intOption("phases", std::numeric_limits<unsigned>::max())
+            .value_or(8));
     if (!sopts.enabled() || sopts.maxPhases == 0)
         usage("--interval and --phases must be >= 1");
 
     double threshold = 1.0;
     if (const auto th = args.option("threshold")) {
-        try {
-            threshold = std::stod(*th);
-        } catch (const std::exception &) {
-            usage("bad --threshold '" + *th + "'");
+        const char *end = th->data() + th->size();
+        const auto rc = std::from_chars(th->data(), end, threshold);
+        if (rc.ec != std::errc{} || rc.ptr != end ||
+            !std::isfinite(threshold) || std::signbit(threshold)) {
+            usage("bad --threshold '" + *th +
+                  "' (want a finite percentage >= 0)");
         }
     }
 
@@ -710,17 +717,17 @@ cmdConverge(const CliArgs &args)
                       "gshare_acc_full_pct,gshare_acc_sampled_pct,"
                       "gshare_acc_err_pct,full_s,sampled_s,"
                       "speedup\n";
-    std::string json = "{\"schema\":\"ppm-converge-v1\"";
-    json += ",\"target\":\"" +
-            jsonEscape(args.positionals()[1]) + "\"";
-    json += ",\"interval\":" + std::to_string(sopts.intervalLen);
-    json += ",\"warmup\":" + std::to_string(sopts.warmupLen);
-    json += ",\"max_phases\":" + std::to_string(sopts.maxPhases);
-    json += ",\"threshold_pct\":" + formatDouble(threshold, 4);
-    json += ",\"budgets\":[";
+    JsonWriter json;
+    json.beginObject()
+        .key("schema").string("ppm-converge-v1")
+        .key("target").string(args.positionals()[1])
+        .key("interval").u64(sopts.intervalLen)
+        .key("warmup").u64(sopts.warmupLen)
+        .key("max_phases").u64(sopts.maxPhases)
+        .key("threshold_pct").fixed(threshold, 4)
+        .key("budgets").beginArray();
 
     double maxErr = 0.0;
-    bool firstBudget = true;
     for (const std::uint64_t budget : budgets) {
         std::vector<ExperimentJob> jobs;
         for (PredictorKind kind : kinds) {
@@ -749,17 +756,14 @@ cmdConverge(const CliArgs &args)
         const double speedup =
             sampledSec > 0.0 ? fullSec / sampledSec : 0.0;
 
-        if (!firstBudget)
-            json += ",";
-        firstBudget = false;
-        json += "{\"budget\":" + std::to_string(budget);
-        json += ",\"phases\":" + std::to_string(lane0.phases);
-        json += ",\"sampled_instrs\":" +
-                std::to_string(lane0.sampledInstrs);
-        json += ",\"full_s\":" + formatDouble(fullSec, 4);
-        json += ",\"sampled_s\":" + formatDouble(sampledSec, 4);
-        json += ",\"speedup\":" + formatDouble(speedup, 2);
-        json += ",\"predictors\":[";
+        json.beginObject()
+            .key("budget").u64(budget)
+            .key("phases").u64(lane0.phases)
+            .key("sampled_instrs").u64(lane0.sampledInstrs)
+            .key("full_s").fixed(fullSec, 4)
+            .key("sampled_s").fixed(sampledSec, 4)
+            .key("speedup").fixed(speedup, 2)
+            .key("predictors").beginArray();
 
         for (std::size_t i = 0; i < kinds.size(); ++i) {
             const DpgStats &fs = full[i].stats;
@@ -786,30 +790,24 @@ cmdConverge(const CliArgs &args)
                    formatDouble(fullSec, 4) + "," +
                    formatDouble(sampledSec, 4) + "," +
                    formatDouble(speedup, 2) + "\n";
-            if (i)
-                json += ",";
-            json += "{\"predictor\":\"" + kindName + "\"";
-            json += ",\"output_acc_full_pct\":" +
-                    formatDouble(of, 4);
-            json += ",\"output_acc_sampled_pct\":" +
-                    formatDouble(os, 4);
-            json += ",\"output_acc_err_pct\":" +
-                    formatDouble(oe, 4);
-            json += ",\"gshare_acc_full_pct\":" +
-                    formatDouble(gf, 4);
-            json += ",\"gshare_acc_sampled_pct\":" +
-                    formatDouble(gs, 4);
-            json +=
-                ",\"gshare_acc_err_pct\":" + formatDouble(ge, 4);
-            json += "}";
+            json.beginObject()
+                .key("predictor").string(kindName)
+                .key("output_acc_full_pct").fixed(of, 4)
+                .key("output_acc_sampled_pct").fixed(os, 4)
+                .key("output_acc_err_pct").fixed(oe, 4)
+                .key("gshare_acc_full_pct").fixed(gf, 4)
+                .key("gshare_acc_sampled_pct").fixed(gs, 4)
+                .key("gshare_acc_err_pct").fixed(ge, 4)
+                .endObject();
         }
-        json += "]}";
+        json.endArray().endObject();
     }
     const bool pass = maxErr <= threshold;
-    json += "],\"max_err_pct\":" + formatDouble(maxErr, 4);
-    json += ",\"pass\":";
-    json += pass ? "true" : "false";
-    json += "}\n";
+    json.endArray()
+        .key("max_err_pct").fixed(maxErr, 4)
+        .key("pass").boolean(pass)
+        .endObject()
+        .newline();
 
     table.print(std::cout);
     std::cout << "converge: max abs error "
@@ -824,7 +822,7 @@ cmdConverge(const CliArgs &args)
         f << csv;
     }
     if (args.option("out"))
-        writeDocument(args, json);
+        writeDocument(args, json.json());
     return pass ? 0 : 1;
 }
 
@@ -834,21 +832,20 @@ cmdServe(const CliArgs &args)
     serve::ServerOptions opts;
     if (const auto s = args.option("socket"))
         opts.unixPath = *s;
-    const bool havePort = args.option("port").has_value();
-    if (const auto p = args.intOption("port"))
-        opts.port = static_cast<std::uint16_t>(*p);
-    if (opts.unixPath.empty() && !havePort)
+    const auto port = args.intOption("port", kMaxPort);
+    if (port)
+        opts.port = static_cast<std::uint16_t>(*port);
+    if (opts.unixPath.empty() && !port)
         usage("serve needs --socket PATH or --port N");
-    if (const auto m = args.intOption("max-inflight"))
+    if (const auto m = args.intOption(
+            "max-inflight", std::numeric_limits<unsigned>::max()))
         opts.maxInflight = static_cast<unsigned>(*m);
-    if (const auto m = args.intOption("max"))
-        opts.defaultMaxInstrs = static_cast<std::uint64_t>(*m);
-    if (const auto m = args.intOption("cap"))
-        opts.maxInstrsCap = static_cast<std::uint64_t>(*m);
-    if (const auto m = args.intOption("retain-mb")) {
-        opts.engine.captureRetentionBytes =
-            static_cast<std::uint64_t>(*m) << 20;
-    }
+    opts.defaultMaxInstrs =
+        args.intOption("max").value_or(opts.defaultMaxInstrs);
+    opts.maxInstrsCap = args.intOption("cap").value_or(opts.maxInstrsCap);
+    if (const auto m = args.intOption(
+            "retain-mb", std::numeric_limits<std::uint64_t>::max() >> 20))
+        opts.engine.captureRetentionBytes = *m << 20;
 
     serve::Server server(opts);
     server.start();
@@ -884,7 +881,10 @@ clientRequestLines(const CliArgs &args)
         return {*raw};
 
     std::string kind;
-    std::string body;
+    // String members after the id, in the order they are sent.
+    std::vector<std::pair<std::string, std::string>> strings;
+    std::optional<std::uint64_t> maxInstrs;
+    std::optional<std::uint64_t> seed;
     if (args.flag("ping")) {
         kind = "ping";
     } else if (args.flag("stats")) {
@@ -894,20 +894,15 @@ clientRequestLines(const CliArgs &args)
     } else {
         kind = "analyze";
         if (const auto w = args.option("workload")) {
-            body += ",\"workload\":\"" + serve::jsonEscape(*w) +
-                    "\"";
+            strings = {{"workload", *w}};
         } else if (const auto f = args.option("family")) {
-            body += ",\"family\":\"" + serve::jsonEscape(*f) + "\"";
+            strings = {{"family", *f}};
         } else if (const auto t = args.option("trace-file")) {
             kind = "trace";
-            body += ",\"name\":\"" + serve::jsonEscape(*t) +
-                    "\",\"records\":\"" +
-                    serve::jsonEscape(readFile(*t)) + "\"";
+            strings = {{"name", *t}, {"records", readFile(*t)}};
         } else if (args.positionals().size() > 1) {
             const std::string &path = args.positionals()[1];
-            body += ",\"name\":\"" + serve::jsonEscape(path) +
-                    "\",\"source\":\"" +
-                    serve::jsonEscape(readFile(path)) + "\"";
+            strings = {{"name", path}, {"source", readFile(path)}};
         } else {
             usage("client needs a request: file.s, --workload, "
                   "--family, --trace-file, --stats, --ping, "
@@ -916,23 +911,30 @@ clientRequestLines(const CliArgs &args)
         if (const auto p = args.option("predictor")) {
             if (*p != "all")
                 parsePredictor(*p); // Reject unknown names early.
-            body += ",\"predictor\":\"" + *p + "\"";
+            strings.emplace_back("predictor", *p);
         }
-        if (const auto m = args.intOption("max"))
-            body += ",\"max_instrs\":" + std::to_string(*m);
-        if (const auto s = args.intOption("seed"))
-            body += ",\"seed\":" + std::to_string(*s);
+        maxInstrs = args.intOption("max");
+        seed = args.intOption("seed");
     }
 
-    const auto count = args.intOption("count").value_or(1);
+    const std::uint64_t count = args.intOption("count").value_or(1);
     const std::string baseId = args.option("id").value_or("req");
     std::vector<std::string> lines;
-    for (std::int64_t i = 0; i < count; ++i) {
-        const std::string id =
-            count == 1 ? baseId : baseId + "-" + std::to_string(i);
-        lines.push_back("{\"schema\":\"ppm-serve-v1\",\"kind\":\"" +
-                        kind + "\",\"id\":\"" +
-                        serve::jsonEscape(id) + "\"" + body + "}");
+    for (std::uint64_t i = 0; i < count; ++i) {
+        JsonWriter w;
+        w.beginObject()
+            .key("schema").string(serve::kServeSchema)
+            .key("kind").string(kind)
+            .key("id").string(count == 1
+                              ? baseId
+                              : baseId + "-" + std::to_string(i));
+        for (const auto &[key, value] : strings)
+            w.key(key).string(value);
+        if (maxInstrs)
+            w.key("max_instrs").u64(*maxInstrs);
+        if (seed)
+            w.key("seed").u64(*seed);
+        lines.push_back(w.endObject().take());
     }
     return lines;
 }
@@ -943,7 +945,7 @@ cmdClient(const CliArgs &args)
     serve::Client client;
     if (const auto s = args.option("socket"))
         client = serve::Client::connectUnix(*s);
-    else if (const auto p = args.intOption("port"))
+    else if (const auto p = args.intOption("port", kMaxPort))
         client = serve::Client::connectTcp(
             static_cast<std::uint16_t>(*p));
     else
@@ -1086,6 +1088,8 @@ main(int argc, char **argv)
 
     try {
         return cmd->run(args);
+    } catch (const CliError &e) {
+        usage(e.what());
     } catch (const EnvError &e) {
         std::cerr << "environment error: " << e.what() << "\n";
         return 2;

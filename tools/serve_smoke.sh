@@ -44,6 +44,30 @@ grep -q -- "--all-predictor" "$WORKDIR/err" \
 [ $? -eq 2 ] || fail "an unknown flag must exit 2"
 grep -q -- "--bogus-flag" "$WORKDIR/err" \
     || fail "the error must name --bogus-flag"
+# Numbers are parsed whole: a sign, an exponent, a trailing byte, a
+# NaN or a value past the option's range is a usage error, reported
+# before any work runs.
+printf 'halt\n' > "$WORKDIR/t.s"
+for args in "converge m88ksim --budgets 2e5 --threshold 1abc" \
+            "converge m88ksim --threshold 1abc" \
+            "converge m88ksim --threshold nan" \
+            "fuzz --seeds 1-2x" \
+            "run $WORKDIR/t.s --input 5x,7" \
+            "run $WORKDIR/t.s --input abc" \
+            "analyze compress --max -5" \
+            "analyze compress --max 1e3" \
+            "serve --port 70000" \
+            "serve --socket $WORKDIR/unused.sock --cap -1" \
+            "serve --socket $WORKDIR/unused.sock --max-inflight 4294967296" \
+            "client --port 65536 --ping"; do
+    # shellcheck disable=SC2086 # word splitting is the point here
+    "$PPM" $args >/dev/null 2>"$WORKDIR/err"
+    [ $? -eq 2 ] || fail "ppm $args must exit 2"
+done
+grep -q -- "option --port wants" "$WORKDIR/err" \
+    || fail "a bad number must name its option"
+"$PPM" run "$WORKDIR/t.s" --input -5,0x10 >/dev/null \
+    || fail "signed and hex --input values must be accepted"
 set -e
 # Value-taking options are per command: `metrics --json` is a flag
 # wherever it stands, so both spellings analyze gcc (and match the
