@@ -15,6 +15,7 @@
 #include "sim/profiler.hh"
 #include "sim/trace.hh"
 #include "support/env.hh"
+#include "support/string_utils.hh"
 
 namespace ppm {
 
@@ -28,22 +29,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** One strtoull field of the PPM_SAMPLE triple; throws on garbage. */
-std::uint64_t
-sampleField(const char *&p, const char *raw)
-{
-    char *end = nullptr;
-    if (*p < '0' || *p > '9') {
-        throw EnvError(std::string("PPM_SAMPLE: expected "
-                                   "<interval>,<warmup>,<maxphases>"
-                                   ", got \"") +
-                       raw + "\"");
-    }
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    p = end;
-    return v;
-}
-
 } // namespace
 
 SampleOptions
@@ -53,29 +38,27 @@ SampleOptions::fromEnv()
     if (!raw || !*raw)
         return SampleOptions{};
 
-    const char *p = raw;
-    SampleOptions o;
-    o.intervalLen = sampleField(p, raw);
-    for (int field = 0; field < 2; ++field) {
-        if (*p != ',') {
+    // Exactly three fields, each parsed whole by parseUint.
+    std::uint64_t field[3] = {};
+    std::string_view rest = raw;
+    for (int i = 0; i < 3; ++i) {
+        const std::size_t comma = rest.find(',');
+        const auto v = parseUint(rest.substr(0, comma));
+        if (!v || (comma == std::string_view::npos) != (i == 2)) {
             throw EnvError(std::string("PPM_SAMPLE: expected "
                                        "<interval>,<warmup>,"
                                        "<maxphases>, got \"") +
                            raw + "\"");
         }
-        ++p;
-        const std::uint64_t v = sampleField(p, raw);
-        if (field == 0)
-            o.warmupLen = v;
-        else
-            o.maxPhases = static_cast<unsigned>(
-                std::min<std::uint64_t>(v, 1u << 16));
+        field[i] = *v;
+        if (i < 2)
+            rest.remove_prefix(comma + 1);
     }
-    if (*p != '\0') {
-        throw EnvError(std::string("PPM_SAMPLE: trailing characters "
-                                   "in \"") +
-                       raw + "\"");
-    }
+    SampleOptions o;
+    o.intervalLen = field[0];
+    o.warmupLen = field[1];
+    o.maxPhases = static_cast<unsigned>(
+        std::min<std::uint64_t>(field[2], 1u << 16));
     if (o.intervalLen == 0 || o.maxPhases == 0) {
         throw EnvError("PPM_SAMPLE: interval and maxphases must be "
                        ">= 1 (unset the variable to disable "

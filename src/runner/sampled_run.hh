@@ -71,6 +71,7 @@ struct SampleOptions
     /**
      * Parse PPM_SAMPLE. Unset/empty returns a disabled options value;
      * anything else must be three comma-separated unsigned integers
+     * (parseUint: no sign, space or overflow)
      * <interval>,<warmup>,<maxphases> with interval and maxphases
      * >= 1, or EnvError is thrown naming the variable.
      */

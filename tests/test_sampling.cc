@@ -280,7 +280,8 @@ TEST(SampleOptions, FromEnvParsesAndValidates)
 
     for (const char *bad :
          {"nonsense", "100", "100,50", "100,50,8,9", "0,50,8",
-          "100,50,0", "100,,8", "100,50,8x"}) {
+          "100,50,0", "100,,8", "100,50,8x", "100, 50,8", "-1,50,8",
+          "99999999999999999999999,50,8"}) {
         setenv("PPM_SAMPLE", bad, 1);
         EXPECT_THROW(SampleOptions::fromEnv(), EnvError)
             << "accepted PPM_SAMPLE=" << bad;
