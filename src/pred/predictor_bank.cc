@@ -31,6 +31,18 @@ predictorName(PredictorKind kind)
     return "unknown";
 }
 
+std::vector<PredictorKind>
+parsePredictors(std::string_view name)
+{
+    std::vector<PredictorKind> kinds;
+    for (PredictorKind kind : kAllPredictorKinds) {
+        if (name == "all" || name == predictorName(kind) ||
+            (name == "last" && kind == PredictorKind::LastValue))
+            kinds.push_back(kind);
+    }
+    return kinds;
+}
+
 std::ostream &
 operator<<(std::ostream &os, PredictorKind kind)
 {

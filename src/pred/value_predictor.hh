@@ -23,6 +23,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "support/types.hh"
 
@@ -151,6 +153,12 @@ char predictorLetter(PredictorKind kind);
 
 /** Full display name ("last-value", "stride", "context"). */
 std::string predictorName(PredictorKind kind);
+
+/**
+ * The kinds @p name selects: all three for "all", else the one named
+ * "last" (or "last-value"), "stride" or "context"; none otherwise.
+ */
+std::vector<PredictorKind> parsePredictors(std::string_view name);
 
 /** Writes predictorName(kind), so logs and test names read by name. */
 std::ostream &operator<<(std::ostream &os, PredictorKind kind);

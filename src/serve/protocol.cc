@@ -1,37 +1,34 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace ppm::serve {
 
 namespace {
 
+using F = IntakeField;
+
+/** Kind names, and the intakes each reads, in RequestKind order. */
+constexpr const char *kKinds[] = {"analyze", "trace", "stats", "ping",
+                                  "shutdown"};
+constexpr unsigned kKindReads[] = {
+    fieldBit(F::Workload) | fieldBit(F::Family) | fieldBit(F::Source),
+    fieldBit(F::Trace), 0, 0, 0};
+
+/** Each field's request member, in IntakeField order. */
+constexpr const char *kMembers[kIntakeFields] = {
+    "workload", "family", "source", "records", "name",
+    "seed", nullptr, nullptr, "predictor", "max_instrs"};
+
 /** kind string -> RequestKind; nullopt for unknown strings. */
 std::optional<RequestKind>
 kindFromString(const std::string &s)
 {
-    if (s == "analyze")
-        return RequestKind::Analyze;
-    if (s == "trace")
-        return RequestKind::Trace;
-    if (s == "stats")
-        return RequestKind::Stats;
-    if (s == "ping")
-        return RequestKind::Ping;
-    if (s == "shutdown")
-        return RequestKind::Shutdown;
-    return std::nullopt;
-}
-
-std::optional<PredictorKind>
-predictorFromString(const std::string &s)
-{
-    if (s == "last" || s == "last-value")
-        return PredictorKind::LastValue;
-    if (s == "stride")
-        return PredictorKind::Stride2Delta;
-    if (s == "context")
-        return PredictorKind::Context;
+    for (std::size_t i = 0; i < std::size(kKinds); ++i)
+        if (s == kKinds[i])
+            return RequestKind(i);
     return std::nullopt;
 }
 
@@ -93,48 +90,42 @@ validateRequest(const JsonValue &doc)
 
     if (const JsonValue *id = doc.find("id"); id && !id->isString())
         errors.push_back("\"id\" must be a string");
-    for (const char *field : {"seed", "max_instrs"}) {
-        if (const JsonValue *v = doc.find(field);
-            v && !isUintNumber(*v)) {
-            errors.push_back(std::string("\"") + field +
-                             "\" must be an integer from 0 to 2^53");
-        }
-    }
-    if (const JsonValue *p = doc.find("predictor")) {
-        if (!p->isString() ||
-            (p->str != "all" && !predictorFromString(p->str))) {
-            errors.push_back(
-                "\"predictor\" must be all|last|stride|context");
-        }
-    }
 
-    if (kind == RequestKind::Analyze) {
-        unsigned intakes = 0;
-        for (const char *field : {"workload", "family", "source"}) {
-            const JsonValue *v = doc.find(field);
-            if (!v)
-                continue;
-            if (!v->isString() || v->str.empty()) {
-                errors.push_back(std::string("\"") + field +
-                                 "\" must be a non-empty string");
-            }
-            ++intakes;
+    IntakeFields found;
+    for (std::size_t i = 0; i < kIntakeFields; ++i)
+        found.spelling[i] = kMembers[i] ? '"' + std::string(kMembers[i]) + '"'
+                                        : "";
+    for (const auto &[member, v] : doc.object) {
+        if (member == "schema" || member == "kind" || member == "id")
+            continue;
+        const auto at = std::ranges::find_if(
+            kMembers, [&](const char *m) { return m && member == m; });
+        if (at == std::end(kMembers)) {
+            errors.push_back("unknown member \"" + member + "\"");
+            continue;
         }
-        if (intakes != 1) {
-            errors.push_back("analyze needs exactly one of "
-                             "\"workload\", \"family\", \"source\"");
-        }
-    } else if (kind == RequestKind::Trace) {
-        const JsonValue *records = doc.find("records");
-        if (!records || !records->isString() ||
-            records->str.empty()) {
-            errors.push_back(
-                "trace needs a non-empty string member \"records\"");
+        const auto field = F(at - std::begin(kMembers));
+        const std::string &name = found.spelling[unsigned(field)];
+        found.found |= fieldBit(field);
+        if (field == F::Seed || field == F::Budget) {
+            if (!isUintNumber(v))
+                errors.push_back(name +
+                                 " must be an integer from 0 to 2^53");
+        } else if (field == F::Predictor) {
+            if (!v.isString() || parsePredictors(v.str).empty())
+                errors.push_back(name + " must be all|last|stride|context");
+        } else if (!v.isString() || (field != F::Name && v.str.empty())) {
+            errors.push_back(name + " must be a" +
+                             (field == F::Name ? "" : " non-empty") +
+                             " string");
         }
     }
-    if (const JsonValue *n = doc.find("name"); n && !n->isString())
-        errors.push_back("\"name\" must be a string");
-
+    if (kind) {
+        for (std::string &e :
+             checkIntake(found, kKindReads[unsigned(*kind)],
+                         "\"kind\":\"" + kindv->str + '"'))
+            errors.push_back(std::move(e));
+    }
     return errors;
 }
 
@@ -148,24 +139,57 @@ parseRequest(const JsonValue &doc)
     if (!kind)
         throw JsonError("unknown request kind");
     req.kind = *kind;
-    if (const JsonValue *v = doc.find("workload"))
-        req.workload = v->str;
-    if (const JsonValue *v = doc.find("family"))
-        req.family = v->str;
-    if (const JsonValue *v = doc.find("source"))
-        req.source = v->str;
-    if (const JsonValue *v = doc.find("name"))
-        req.name = v->str;
-    if (const JsonValue *v = doc.find("records"))
-        req.records = v->str;
+
+    // The intake's own member gives its kind and, for a workload or a
+    // family, its name; a source or trace is named by "name".
+    Intake &in = req.intake;
+    for (unsigned k = 0; k < 4; ++k) {
+        if (const JsonValue *v = doc.find(kMembers[k])) {
+            in.kind = IntakeKind(k);
+            (k < 2 ? in.name : in.text) = v->str;
+        }
+    }
+    if (const JsonValue *v = doc.find("name"); v && !v->str.empty())
+        in.name = v->str;
+    else if (in.kind == IntakeKind::Source || in.kind == IntakeKind::Trace)
+        in.name = "request";
     if (const JsonValue *v = doc.find("seed"))
-        req.seed = static_cast<std::uint64_t>(v->number);
+        in.seed = static_cast<std::uint64_t>(v->number);
+
     if (const JsonValue *v = doc.find("max_instrs"))
         req.maxInstrs = static_cast<std::uint64_t>(v->number);
-    if (const JsonValue *v = doc.find("predictor");
-        v && v->str != "all")
-        req.predictor = predictorFromString(v->str);
+    if (const JsonValue *v = doc.find("predictor"))
+        req.predictors = parsePredictors(v->str);
     return req;
+}
+
+std::string
+writeRequest(const ServeRequest &req)
+{
+    JsonWriter w;
+    w.beginObject()
+        .key("schema").string(kServeSchema)
+        .key("kind").string(kKinds[unsigned(req.kind)])
+        .key("id").string(req.id);
+    if (req.kind == RequestKind::Analyze || req.kind == RequestKind::Trace) {
+        const Intake &in = req.intake;
+        const char *member = kMembers[unsigned(in.kind)];
+        if (in.kind == IntakeKind::Workload || in.kind == IntakeKind::Family) {
+            w.key(member).string(in.name);
+            if (in.seed)
+                w.key("seed").u64(*in.seed);
+        } else {
+            if (!in.input.empty())
+                throw std::invalid_argument(
+                    "a served source runs on an empty input");
+            w.key("name").string(in.name).key(member).string(in.text);
+        }
+        if (req.predictors.size() == 1)
+            w.key("predictor").string(predictorName(req.predictors[0]));
+        if (req.maxInstrs)
+            w.key("max_instrs").u64(*req.maxInstrs);
+    }
+    return w.endObject().take();
 }
 
 std::string

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include <arpa/inet.h>
@@ -16,22 +15,11 @@
 #include "dpg/dpg_analyzer.hh"
 #include "runner/trace_import.hh"
 #include "support/mini_json.hh"
-#include "verify/families.hh"
 #include "verify/fingerprint.hh"
-#include "workloads/workload.hh"
 
 namespace ppm::serve {
 
 namespace {
-
-/** The request's one predictor, or all of them (one lane each). */
-std::vector<PredictorKind>
-requestKinds(const ServeRequest &req)
-{
-    if (req.predictor)
-        return {*req.predictor};
-    return {std::begin(kAllPredictorKinds), std::end(kAllPredictorKinds)};
-}
 
 /** write() the whole line + '\n'; false when the peer went away. */
 bool
@@ -411,74 +399,17 @@ Server::respond(const std::string &line, std::string &id,
 std::string
 Server::handleAnalyze(const ServeRequest &req)
 {
-    std::string label;
-    std::uint64_t fpSeed = req.seed;
-    std::uint64_t budget = opts_.defaultMaxInstrs;
-    double assembleSec = 0.0;
-    std::shared_ptr<const Program> program;
-    std::shared_ptr<const std::vector<Value>> input;
-
-    try {
-        if (!req.workload.empty()) {
-            const Workload &w = findWorkload(req.workload);
-            const std::uint64_t seed =
-                req.seed != 0 ? req.seed : kDefaultWorkloadSeed;
-            fpSeed = seed;
-            label = "workload:" + w.name;
-            program = engine_.cache().program(w.name, w.source,
-                                              &assembleSec);
-            input = std::make_shared<const std::vector<Value>>(
-                w.makeInput(seed));
-        } else if (!req.family.empty()) {
-            const verify::ScenarioFamily &family =
-                verify::findFamily(req.family);
-            label = "family:" + family.name;
-            const std::string name =
-                family.name + "-" + std::to_string(req.seed);
-            program = engine_.cache().program(
-                name, family.generate(req.seed), &assembleSec);
-            input =
-                std::make_shared<const std::vector<Value>>();
-            budget = family.instrBound;
-        } else {
-            const std::string name =
-                req.name.empty() ? "request" : req.name;
-            label = "source:" + name;
-            program = engine_.cache().program(name, req.source,
-                                              &assembleSec);
-            input =
-                std::make_shared<const std::vector<Value>>();
-        }
-    } catch (const std::out_of_range &) {
-        const bool wl = !req.workload.empty();
-        throw std::runtime_error(
-            std::string(wl ? "unknown workload \""
-                           : "unknown family \"") +
-            (wl ? req.workload : req.family) + "\"");
-    }
-
-    if (req.maxInstrs)
-        budget = *req.maxInstrs;
-    checkBudget(budget, opts_.maxInstrsCap);
-
-    const std::vector<PredictorKind> kinds = requestKinds(req);
-    std::vector<ExperimentJob> jobs;
-    jobs.reserve(kinds.size());
-    for (PredictorKind kind : kinds) {
-        ExperimentJob job;
-        job.program = program;
-        job.input = input;
-        job.config.maxInstrs = budget;
-        job.config.dpg.kind = kind;
-        job.assembleSec = jobs.empty() ? assembleSec : 0.0;
-        jobs.push_back(std::move(job));
-    }
+    ExperimentJob job = resolveProgram(req.intake, engine_.cache(),
+                                       opts_.defaultMaxInstrs);
+    job.config.maxInstrs = req.maxInstrs.value_or(job.config.maxInstrs);
+    checkBudget(job.config.maxInstrs, opts_.maxInstrsCap);
 
     // submitAll(): the predictor lanes enter the pending queue
     // atomically, so they coalesce into one pass exactly like a
     // batch caller's — and may further share a retained capture with
     // an earlier request for the same (program, input, budget).
-    std::vector<RequestHandle> handles = engine_.submitAll(jobs);
+    std::vector<RequestHandle> handles =
+        engine_.submitAll(intakeJobs(job, req.predictors));
 
     ResponseTiming timing;
     std::vector<DpgStats> runs;
@@ -496,19 +427,16 @@ Server::handleAnalyze(const ServeRequest &req)
         runs.push_back(std::move(outcome.stats));
     }
 
-    return okResponse(
-        req.id, verify::fingerprintJson(label, fpSeed, runs),
-        timing);
+    return okResponse(req.id,
+                      verify::fingerprintJson(req.intake.label(),
+                                              req.intake.seedValue(), runs),
+                      timing);
 }
 
 std::string
 Server::handleTrace(const ServeRequest &req)
 {
-    const std::string name =
-        req.name.empty() ? "request" : req.name;
-
-    std::istringstream in(req.records);
-    const ImportedTrace trace = parseBranchTrace(in, name);
+    const ImportedTrace trace = resolveTrace(req.intake);
 
     const std::uint64_t budget =
         req.maxInstrs.value_or(opts_.defaultMaxInstrs);
@@ -524,7 +452,7 @@ Server::handleTrace(const ServeRequest &req)
     // imported streams replay in-memory and do not go through the
     // engine's capture tier.
     std::vector<DpgConfig> configs;
-    for (PredictorKind kind : requestKinds(req)) {
+    for (PredictorKind kind : req.predictors) {
         DpgConfig cfg;
         cfg.kind = kind;
         configs.push_back(cfg);
@@ -538,10 +466,11 @@ Server::handleTrace(const ServeRequest &req)
         timing.analyzeSec += sec;
     timing.dynInstrs = res.timing.dynInstrs;
     timing.fused = configs.size() > 1;
-    return okResponse(
-        req.id,
-        verify::fingerprintJson("trace:" + name, 0, res.stats),
-        timing);
+    return okResponse(req.id,
+                      verify::fingerprintJson(req.intake.label(),
+                                              req.intake.seedValue(),
+                                              res.stats),
+                      timing);
 }
 
 std::string

@@ -1,11 +1,8 @@
 #include "verify/fuzz_farm.hh"
 
-#include <memory>
 #include <ostream>
 
-#include "analysis/experiment.hh"
-#include "asmr/assembler.hh"
-#include "runner/engine.hh"
+#include "runner/intake.hh"
 #include "verify/families.hh"
 #include "verify/fingerprint.hh"
 #include "verify/invariant_checker.hh"
@@ -22,35 +19,20 @@ struct CellResult
 };
 
 CellResult
-runCell(ExperimentEngine &engine, const ScenarioFamily &family,
-        std::uint64_t seed)
+runCell(ExperimentEngine &engine, const Intake &intake)
 {
-    const std::string name =
-        family.name + "-" + std::to_string(seed);
-    const std::string source = family.generate(seed);
-    auto program = std::make_shared<const Program>(
-        assemble(source, name));
-    auto input = std::make_shared<const std::vector<Value>>();
-
-    std::vector<ExperimentJob> jobs;
-    for (PredictorKind kind : kAllPredictorKinds) {
-        ExperimentJob job;
-        job.program = program;
-        job.input = input;
-        job.config.maxInstrs = family.instrBound;
-        job.config.dpg.kind = kind;
-        jobs.push_back(std::move(job));
-    }
+    // The budget is the family's structural bound, so reaching it
+    // means the template's termination argument was violated — a
+    // generator bug worth pinning.
+    const ExperimentJob job = resolveProgram(intake, engine.cache(), 0);
+    const std::uint64_t bound = job.config.maxInstrs;
 
     CellResult cell;
-    for (auto &outcome : engine.run(jobs)) {
-        // The budget equals the family's structural bound, so
-        // reaching it means the template's termination argument was
-        // violated — a generator bug worth pinning.
-        if (outcome.stats.dynInstrs >= family.instrBound)
+    for (auto &outcome : engine.run(intakeJobs(job, kAllPredictorKinds))) {
+        if (outcome.stats.dynInstrs >= bound)
             throw std::runtime_error(
                 "did not halt within the family instruction bound (" +
-                std::to_string(family.instrBound) + ")");
+                std::to_string(bound) + ")");
         const auto violations = InvariantChecker::audit(
             outcome.stats, /*trackInfluence=*/true);
         if (!violations.empty()) {
@@ -98,13 +80,17 @@ runFuzzFarm(const FuzzOptions &options, std::ostream *progress)
 
     auto runOne = [&](std::size_t famIdx, std::uint64_t seed) {
         const ScenarioFamily &family = *roster[famIdx];
+        Intake intake;
+        intake.kind = IntakeKind::Family;
+        intake.name = family.name;
+        intake.seed = seed;
         ++result.programs;
         try {
-            CellResult cell = runCell(engine, family, seed);
+            CellResult cell = runCell(engine, intake);
             tallies[famIdx].dynInstrs += cell.dynInstrs;
             result.dynInstrs += cell.dynInstrs;
-            result.fingerprints.push_back(fingerprintJson(
-                "family:" + family.name, seed, cell.runs));
+            result.fingerprints.push_back(
+                fingerprintJson(intake.label(), seed, cell.runs));
             ++tallies[famIdx].ok;
         } catch (const std::exception &e) {
             ++tallies[famIdx].failed;

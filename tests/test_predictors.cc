@@ -281,7 +281,13 @@ TEST(Bank, FactoryNamesAndLetters)
         auto p = makeValuePredictor(kind);
         ASSERT_NE(p, nullptr);
         EXPECT_FALSE(p->name().empty());
+        EXPECT_EQ(parsePredictors(predictorName(kind)),
+                  std::vector<PredictorKind>{kind});
     }
+    EXPECT_EQ(parsePredictors("last"),
+              std::vector<PredictorKind>{PredictorKind::LastValue});
+    EXPECT_EQ(parsePredictors("all").size(), std::size(kAllPredictorKinds));
+    EXPECT_TRUE(parsePredictors("bogus").empty());
 }
 
 // --- property sweep across all predictor kinds -----------------------------

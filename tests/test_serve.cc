@@ -138,6 +138,29 @@ TEST(ServeProtocol, ValidatesRequests)
     EXPECT_FALSE(errsFor("{\"schema\":\"ppm-serve-v1\","
                          "\"kind\":\"trace\"}")
                      .empty());
+
+    // A member the request's kind and intake do not read is refused,
+    // by name.
+    const std::string trace = "{\"schema\":\"ppm-serve-v1\","
+                              "\"kind\":\"trace\",\"records\":\"0x4 T\",";
+    const std::string analyze = "{\"schema\":\"ppm-serve-v1\","
+                                "\"kind\":\"analyze\",";
+    for (const auto &[json, member] :
+         std::vector<std::pair<std::string, std::string>>{
+             {trace + "\"workload\":\"gcc\"}", "\"workload\""},
+             {trace + "\"seed\":9}", "\"seed\""},
+             {analyze + "\"source\":\"halt\",\"seed\":7}", "\"seed\""},
+             {analyze + "\"workload\":\"gcc\",\"name\":\"n\","
+                        "\"records\":\"0x4 T\"}",
+              "\"records\""},
+             {"{\"schema\":\"ppm-serve-v1\",\"kind\":\"ping\","
+              "\"workload\":\"gcc\"}",
+              "\"workload\""}}) {
+        const auto errors = errsFor(json);
+        ASSERT_FALSE(errors.empty()) << json;
+        EXPECT_NE(errors[0].find(member), std::string::npos)
+            << errors[0];
+    }
 }
 
 // Past 2^53 a JSON number no longer names one integer, and past 2^64
@@ -164,7 +187,7 @@ TEST(ServeProtocol, RefusesIntegersPastDoublePrecision)
                "\"max_instrs\":9007199254740992}");
     EXPECT_TRUE(serve::validateRequest(edge).empty());
     const serve::ServeRequest req = serve::parseRequest(edge);
-    EXPECT_EQ(req.seed, 1ULL << 53);
+    EXPECT_EQ(req.intake.seed, 1ULL << 53);
     EXPECT_EQ(req.maxInstrs, 1ULL << 53);
 }
 
@@ -302,6 +325,44 @@ TEST(ServeDaemon, ServedFingerprintIsByteIdenticalToBatchPath)
     EXPECT_NE(traceResponse->find("\"fingerprint\":" + traceExpected),
               std::string::npos)
         << "served trace fingerprint differs from the replay reference";
+
+    server.requestStop();
+    server.serveUntilStopped();
+}
+
+// A served seed is used as given: "seed":0 is input seed 0, not the
+// default 0x5eed5eed.
+TEST(ServeDaemon, ServedSeedZeroIsInputSeedZero)
+{
+    const std::string path = socketPath("seed0");
+    Server server(testOptions(path));
+    server.start();
+
+    EngineOptions eopts;
+    eopts.threads = 2;
+    ExperimentEngine reference(eopts);
+    std::vector<ExperimentJob> jobs;
+    for (PredictorKind kind : kAllPredictorKinds) {
+        ExperimentConfig config;
+        config.maxInstrs = kBudget;
+        config.dpg.kind = kind;
+        jobs.push_back(reference.makeJob(findWorkload("gcc"), config, 0));
+    }
+    std::vector<DpgStats> runs;
+    for (auto &outcome : reference.run(jobs))
+        runs.push_back(std::move(outcome.stats));
+    const std::string expected =
+        verify::fingerprintJson("workload:gcc", 0, runs);
+
+    Client client = Client::connectUnix(path);
+    client.sendLine("{\"schema\":\"ppm-serve-v1\",\"kind\":\"analyze\","
+                    "\"workload\":\"gcc\",\"seed\":0,\"max_instrs\":" +
+                    std::to_string(kBudget) + "}");
+    const auto response = client.recvLine(60'000);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_NE(response->find("\"fingerprint\":" + expected),
+              std::string::npos)
+        << *response;
 
     server.requestStop();
     server.serveUntilStopped();

@@ -44,9 +44,10 @@
  *     --max N            dynamic instruction budget (default 4000000)
  *     --predictor P      last | stride | context   (default context)
  *     --all-predictors   (analyze) run and tabulate all three
- *     --seed S           workload input seed
- *     --input v,v,...    inline input stream (run/analyze on files)
- *     --input-file F     input stream, one value per line
+ *     --seed S           workload input seed (a workload target only)
+ *     --input v,v,...    inline input stream (a file.s target only)
+ *     --input-file F     input stream, one value per line (a file.s
+ *                        target only; not with --input)
  *     --trace            (run) print every executed instruction
  *     --report R,...     (analyze) any of: overall, gen, prop, term,
  *                        paths, trees, sequences, branches, unpred,
@@ -62,12 +63,12 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 
 #include "analysis/experiment.hh"
 #include "analysis/figures.hh"
 #include "obs/obs.hh"
 #include "runner/engine.hh"
+#include "runner/intake.hh"
 #include "asmr/assembler.hh"
 #include "dpg/dpg_graph.hh"
 #include "isa/disasm.hh"
@@ -80,7 +81,6 @@
 #include "sim/machine.hh"
 #include "support/cli_args.hh"
 #include "support/env.hh"
-#include "support/gzip.hh"
 #include "support/mini_json.hh"
 #include "support/version.hh"
 #include "support/string_utils.hh"
@@ -106,125 +106,62 @@ usage(const std::string &message = "")
         "usage:\n"
         "  ppm asm <file.s>\n"
         "  ppm disasm <file.s>\n"
-        "  ppm run <file.s> [--max N] [--trace]\n"
-        "          [--input v,v,...] [--input-file F]\n"
-        "  ppm analyze <file.s | workload-name>\n"
-        "          [--predictor last|stride|context] [--max N]\n"
-        "          [--seed S] [--report overall,paths,...]\n"
+        "  ppm run TARGET [--max N] [--trace]\n"
+        "  ppm analyze TARGET [--predictor last|stride|context]\n"
+        "          [--all-predictors] [--max N]\n"
+        "          [--report overall,paths,...]\n"
+        "  ppm graph TARGET [--predictor P] [--window N]\n"
         "  ppm workloads\n"
-        "  ppm metrics [workload | file.s] [--json]\n"
+        "  ppm metrics [TARGET] [--json]\n"
         "          [--predictor last|stride|context] [--max N]\n"
         "  ppm fuzz [--families a,b,...] [--seeds LO-HI] [--slice]\n"
         "          [--no-verify] [--out corpus.json] [--list]\n"
-        "  ppm import <file.trace> [--verify] [--out fp.json]\n"
-        "  ppm converge <file.s | workload-name>\n"
+        "  ppm import <file.trace[.gz]> [--verify] [--out fp.json]\n"
+        "  ppm converge TARGET\n"
         "          [--budgets N,N,...] [--predictor all|last|...]\n"
         "          [--interval N] [--warmup N] [--phases N]\n"
-        "          [--threshold PCT] [--seed S]\n"
+        "          [--threshold PCT]\n"
         "          [--out curves.json] [--csv curves.csv]\n"
         "  ppm serve (--socket PATH | --port N) [--max-inflight N]\n"
         "          [--max N] [--cap N] [--retain-mb N]\n"
-        "  ppm client (--socket PATH | --port N) [file.s]\n"
-        "          [--workload W | --family F | --trace-file T]\n"
+        "  ppm client (--socket PATH | --port N) REQUEST\n"
         "          [--predictor all|last|stride|context] [--max N]\n"
-        "          [--seed S] [--id ID] [--count N]\n"
-        "          [--stats] [--ping] [--shutdown] [--json REQ]\n"
-        "  ppm --version\n";
+        "          [--id ID] [--count N]\n"
+        "  ppm --version\n"
+        "\n"
+        "TARGET, exactly one of:\n"
+        "  <workload-name> [--seed S]\n"
+        "  <file.s> [--input v,v,... | --input-file F]\n"
+        "REQUEST, exactly one of:\n"
+        "  --workload W [--seed S] | --family F [--seed S] | <file.s>\n"
+        "  | --trace-file T | --stats | --ping | --shutdown | --json REQ\n";
     std::exit(2);
 }
 
-std::string
-readFile(const std::string &path)
+/**
+ * The kinds --predictor names (@p fallback when absent); "all" only
+ * where @p all allows several.
+ */
+std::vector<PredictorKind>
+predictorOption(const CliArgs &args, const std::string &fallback,
+                bool all = false)
 {
-    std::ifstream in(path);
-    if (!in)
-        usage("cannot read " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    const std::string name = args.option("predictor").value_or(fallback);
+    const std::vector<PredictorKind> kinds = parsePredictors(name);
+    if (kinds.empty() || (!all && kinds.size() != 1))
+        usage("unknown predictor '" + name + "'");
+    return kinds;
 }
 
-PredictorKind
-parsePredictor(const std::string &name)
+/** The command's @p target, a workload or file.s, as one job. */
+ExperimentJob
+programJob(const CliArgs &args, const std::string &target,
+           RunCache &cache, std::uint64_t budget)
 {
-    if (name == "last" || name == "last-value")
-        return PredictorKind::LastValue;
-    if (name == "stride")
-        return PredictorKind::Stride2Delta;
-    if (name == "context")
-        return PredictorKind::Context;
-    usage("unknown predictor '" + name + "'");
-}
-
-/** One signed input value; a malformed one names @p where. */
-Value
-parseValue(std::string_view text, const std::string &where)
-{
-    const auto v = parseInt(text);
-    if (!v)
-        usage("bad value '" + std::string(text) + "' in " + where);
-    return static_cast<Value>(*v);
-}
-
-std::vector<Value>
-parseInputList(const std::string &list)
-{
-    std::vector<Value> out;
-    for (const auto piece : splitAndTrim(list, ',')) {
-        if (!piece.empty())
-            out.push_back(parseValue(piece, "--input"));
-    }
-    return out;
-}
-
-std::vector<Value>
-parseInputFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        usage("cannot read " + path);
-    std::vector<Value> out;
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto t = trim(line);
-        if (t.empty() || t[0] == '#')
-            continue;
-        out.push_back(parseValue(t, path));
-    }
-    return out;
-}
-
-/** Resolve `analyze` target: workload name or assembly file. */
-struct Target
-{
-    Program program;
-    std::vector<Value> input;
-    bool isFloat = false;
-};
-
-Target
-resolveTarget(const std::string &name, const CliArgs &args)
-{
-    Target t;
-    const std::uint64_t seed =
-        args.intOption("seed").value_or(kDefaultWorkloadSeed);
-
-    // Workload names win; anything else is a file path.
-    for (const Workload &w : allWorkloads()) {
-        if (w.name == name) {
-            t.program = assemble(std::string(w.source), w.name);
-            t.input = w.makeInput(seed);
-            t.isFloat = w.isFloat;
-            return t;
-        }
-    }
-
-    t.program = assemble(readFile(name), name);
-    if (const auto list = args.option("input"))
-        t.input = parseInputList(*list);
-    else if (const auto file = args.option("input-file"))
-        t.input = parseInputFile(*file);
-    return t;
+    return resolveProgram(*parseIntakeArgs(args, &target,
+                                           IntakeForm::Program,
+                                           args.positionals()[0]),
+                          cache, budget);
 }
 
 int
@@ -233,7 +170,7 @@ cmdAsm(const CliArgs &args)
     if (args.positionals().size() != 2)
         usage("asm needs a file");
     const Program prog =
-        assemble(readFile(args.positionals()[1]),
+        assemble(readTextFile(args.positionals()[1]),
                  args.positionals()[1]);
     std::cout << prog.name << ": " << prog.textSize()
               << " instructions, " << prog.dataImage.size()
@@ -248,7 +185,7 @@ cmdDisasm(const CliArgs &args)
     if (args.positionals().size() != 2)
         usage("disasm needs a file");
     const Program prog =
-        assemble(readFile(args.positionals()[1]),
+        assemble(readTextFile(args.positionals()[1]),
                  args.positionals()[1]);
 
     // Invert the symbol table for labels.
@@ -286,14 +223,15 @@ cmdRun(const CliArgs &args)
 {
     if (args.positionals().size() != 2)
         usage("run needs a file");
-    Target t = resolveTarget(args.positionals()[1], args);
-    const std::uint64_t max_instrs =
-        args.intOption("max").value_or(4'000'000);
+    RunCache cache;
+    const ExperimentJob job =
+        programJob(args, args.positionals()[1], cache,
+                   args.intOption("max").value_or(4'000'000));
 
     TracePrinter printer;
-    Machine m(t.program, std::move(t.input));
-    const StopReason reason =
-        m.run(args.flag("trace") ? &printer : nullptr, max_instrs);
+    Machine m(*job.program, *job.input);
+    const StopReason reason = m.run(args.flag("trace") ? &printer : nullptr,
+                                    job.config.maxInstrs);
 
     std::cout << (reason == StopReason::Halted
                       ? "halted"
@@ -308,38 +246,18 @@ cmdAnalyze(const CliArgs &args)
 {
     if (args.positionals().size() != 2)
         usage("analyze needs a file or workload name");
-    Target t = resolveTarget(args.positionals()[1], args);
-
-    ExperimentConfig config;
-    config.maxInstrs = args.intOption("max").value_or(4'000'000);
-
-    std::vector<PredictorKind> kinds;
-    if (args.flag("all-predictors")) {
-        kinds.assign(std::begin(kAllPredictorKinds),
-                     std::end(kAllPredictorKinds));
-    } else {
-        kinds.push_back(parsePredictor(
-            args.option("predictor").value_or("context")));
-    }
+    ExperimentEngine &engine = ExperimentEngine::shared();
+    const ExperimentJob job =
+        programJob(args, args.positionals()[1], engine.cache(),
+                   args.intOption("max").value_or(4'000'000));
+    const std::vector<PredictorKind> kinds =
+        args.flag("all-predictors") ? parsePredictors("all")
+                                    : predictorOption(args, "context");
 
     // The engine profiles once and feeds every requested predictor
-    // from one re-simulation, one lane each. (t.program stays valid
-    // for the report printers below.)
-    auto program = std::make_shared<const Program>(t.program);
-    auto input = std::make_shared<const std::vector<Value>>(
-        std::move(t.input));
-    std::vector<ExperimentJob> jobs;
-    for (PredictorKind kind : kinds) {
-        ExperimentJob job;
-        job.program = program;
-        job.input = input;
-        job.config = config;
-        job.config.dpg.kind = kind;
-        job.isFloat = t.isFloat;
-        jobs.push_back(std::move(job));
-    }
+    // from one re-simulation, one lane each.
     std::vector<RunResult> runs;
-    for (auto &outcome : ExperimentEngine::shared().run(jobs)) {
+    for (auto &outcome : engine.run(intakeJobs(job, kinds))) {
         RunResult run;
         run.isFloat = outcome.isFloat;
         run.stats = std::move(outcome.stats);
@@ -397,7 +315,7 @@ cmdAnalyze(const CliArgs &args)
                  s.trees.criticalSites(10)) {
                 table.addRow(
                     {std::to_string(site.pc),
-                     disassemble(t.program.text[site.pc]),
+                     disassemble(job.program->text[site.pc]),
                      std::string(generatorClassName(site.cls)),
                      formatCount(site.generates),
                      formatCount(site.influenced),
@@ -417,14 +335,15 @@ cmdGraph(const CliArgs &args)
 {
     if (args.positionals().size() != 2)
         usage("graph needs a file or workload name");
-    Target t = resolveTarget(args.positionals()[1], args);
     const std::size_t window = args.intOption("window").value_or(64);
+    RunCache cache;
+    const ExperimentJob job =
+        programJob(args, args.positionals()[1], cache, window);
 
-    DpgGraphBuilder builder(
-        t.program,
-        parsePredictor(args.option("predictor").value_or("stride")),
-        window);
-    Machine m(t.program, std::move(t.input));
+    DpgGraphBuilder builder(*job.program,
+                            predictorOption(args, "stride").front(),
+                            window);
+    Machine m(*job.program, *job.input);
     m.run(&builder, window);
     builder.writeDot(std::cout);
     return 0;
@@ -444,22 +363,13 @@ cmdMetrics(const CliArgs &args)
         usage("metrics takes at most one workload or file");
     obs::forceEnable();
 
-    Target t = resolveTarget(args.positionals().size() == 2
-                                 ? args.positionals()[1]
-                                 : "compress",
-                             args);
-    ExperimentConfig config;
-    config.maxInstrs = args.intOption("max").value_or(200'000);
-    config.dpg.kind =
-        parsePredictor(args.option("predictor").value_or("context"));
-
-    ExperimentJob job;
-    job.program = std::make_shared<const Program>(std::move(t.program));
-    job.input =
-        std::make_shared<const std::vector<Value>>(std::move(t.input));
-    job.config = config;
-    job.isFloat = t.isFloat;
-    ExperimentEngine::shared().run({std::move(job)});
+    ExperimentEngine &engine = ExperimentEngine::shared();
+    engine.run(intakeJobs(
+        programJob(args,
+                   args.positionals().size() == 2 ? args.positionals()[1]
+                                                  : "compress",
+                   engine.cache(), args.intOption("max").value_or(200'000)),
+        predictorOption(args, "context")));
 
     if (args.flag("json"))
         obs::dumpMetricsJson(std::cout);
@@ -553,17 +463,9 @@ cmdImport(const CliArgs &args)
 {
     if (args.positionals().size() != 2)
         usage("import needs a trace file");
-    const std::string &path = args.positionals()[1];
-    ImportedTrace trace;
-    if (isGzipFile(path)) {
-        std::istringstream in(gunzipFile(path));
-        trace = parseBranchTrace(in, path);
-    } else {
-        std::ifstream in(path);
-        if (!in)
-            usage("cannot read " + path);
-        trace = parseBranchTrace(in, path);
-    }
+    const Intake intake = *parseIntakeArgs(
+        args, &args.positionals()[1], IntakeForm::Trace, "import");
+    const ImportedTrace trace = resolveTrace(intake);
 
     // Pass 1 over the imported stream, then one pass feeding every
     // predictor — the same two-pass discipline as a simulated program.
@@ -585,7 +487,8 @@ cmdImport(const CliArgs &args)
     }
 
     const std::string fp =
-        verify::fingerprintJson("trace:" + path, 0, res.stats);
+        verify::fingerprintJson(intake.label(), intake.seedValue(),
+                                res.stats);
     const auto errors = verify::validateFingerprint(parseJson(fp));
     for (const std::string &e : errors)
         std::cerr << "fingerprint schema violation: " << e << "\n";
@@ -627,8 +530,6 @@ cmdConverge(const CliArgs &args)
 
     if (args.positionals().size() != 2)
         usage("converge needs a file or workload name");
-    Target t = resolveTarget(args.positionals()[1], args);
-
     // Named, not a temporary: splitAndTrim returns views into it.
     const std::string budgetList = args.option("budgets").value_or(
         "500000,1000000,2000000,4000000");
@@ -666,15 +567,8 @@ cmdConverge(const CliArgs &args)
         }
     }
 
-    std::vector<PredictorKind> kinds;
-    const std::string pred =
-        args.option("predictor").value_or("all");
-    if (pred == "all") {
-        kinds.assign(std::begin(kAllPredictorKinds),
-                     std::end(kAllPredictorKinds));
-    } else {
-        kinds.push_back(parsePredictor(pred));
-    }
+    const std::vector<PredictorKind> kinds =
+        predictorOption(args, "all", true);
 
     // Two explicitly configured engines, neither of which reads
     // PPM_SAMPLE, PPM_VERIFY or PPM_THREADS: the comparison is always
@@ -687,10 +581,8 @@ cmdConverge(const CliArgs &args)
     sampledOpts.sample = sopts;
     ExperimentEngine fullEngine(fullOpts);
     ExperimentEngine sampledEngine(sampledOpts);
-    const auto program =
-        std::make_shared<const Program>(std::move(t.program));
-    const auto input = std::make_shared<const std::vector<Value>>(
-        std::move(t.input));
+    ExperimentJob job =
+        programJob(args, args.positionals()[1], fullEngine.cache(), 0);
 
     // Fingerprint accuracy metrics (verify/fingerprint.cc): the
     // output-accuracy share of classified nodes plus the gshare hit
@@ -729,15 +621,8 @@ cmdConverge(const CliArgs &args)
 
     double maxErr = 0.0;
     for (const std::uint64_t budget : budgets) {
-        std::vector<ExperimentJob> jobs;
-        for (PredictorKind kind : kinds) {
-            ExperimentJob job;
-            job.program = program;
-            job.input = input;
-            job.config.maxInstrs = budget;
-            job.config.dpg.kind = kind;
-            jobs.push_back(std::move(job));
-        }
+        job.config.maxInstrs = budget;
+        const std::vector<ExperimentJob> jobs = intakeJobs(job, kinds);
         // Full reference: the exact two-pass analysis, every
         // predictor as one lane over one stream production.
         const auto f0 = Clock::now();
@@ -873,68 +758,49 @@ cmdServe(const CliArgs &args)
     return 0;
 }
 
-/** Build the request line(s) `ppm client` will send. */
+/**
+ * The request line(s) `ppm client` sends: --json REQ verbatim, or
+ * --count copies of one request, ids suffixed -0, -1, ...
+ */
 std::vector<std::string>
 clientRequestLines(const CliArgs &args)
 {
-    if (const auto raw = args.option("json"))
-        return {*raw};
-
-    std::string kind;
-    // String members after the id, in the order they are sent.
-    std::vector<std::pair<std::string, std::string>> strings;
-    std::optional<std::uint64_t> maxInstrs;
-    std::optional<std::uint64_t> seed;
-    if (args.flag("ping")) {
-        kind = "ping";
-    } else if (args.flag("stats")) {
-        kind = "stats";
-    } else if (args.flag("shutdown")) {
-        kind = "shutdown";
+    // A control flag names a request that reads no intake.
+    std::string control;
+    for (const char *flag : {"json", "ping", "stats", "shutdown"}) {
+        if (!args.flag(flag))
+            continue;
+        if (!control.empty())
+            throw CliError(control + " conflicts with --" + flag);
+        control = std::string("--") + flag;
+    }
+    const std::string *target = args.positionals().size() > 1
+                                    ? &args.positionals()[1]
+                                    : nullptr;
+    serve::ServeRequest req;
+    if (control.empty()) {
+        req.intake = *parseIntakeArgs(args, target, IntakeForm::Request,
+                                      "client");
+        req.kind = req.intake.kind == IntakeKind::Trace
+                       ? serve::RequestKind::Trace
+                       : serve::RequestKind::Analyze;
+        req.predictors = predictorOption(args, "all", true);
+        req.maxInstrs = args.intOption("max");
     } else {
-        kind = "analyze";
-        if (const auto w = args.option("workload")) {
-            strings = {{"workload", *w}};
-        } else if (const auto f = args.option("family")) {
-            strings = {{"family", *f}};
-        } else if (const auto t = args.option("trace-file")) {
-            kind = "trace";
-            strings = {{"name", *t}, {"records", readFile(*t)}};
-        } else if (args.positionals().size() > 1) {
-            const std::string &path = args.positionals()[1];
-            strings = {{"name", path}, {"source", readFile(path)}};
-        } else {
-            usage("client needs a request: file.s, --workload, "
-                  "--family, --trace-file, --stats, --ping, "
-                  "--shutdown, or --json");
-        }
-        if (const auto p = args.option("predictor")) {
-            if (*p != "all")
-                parsePredictor(*p); // Reject unknown names early.
-            strings.emplace_back("predictor", *p);
-        }
-        maxInstrs = args.intOption("max");
-        seed = args.intOption("seed");
+        parseIntakeArgs(args, target, IntakeForm::None, control);
+        if (control == "--json")
+            return {*args.option("json")};
+        req.kind = control == "--ping"    ? serve::RequestKind::Ping
+                   : control == "--stats" ? serve::RequestKind::Stats
+                                          : serve::RequestKind::Shutdown;
     }
 
     const std::uint64_t count = args.intOption("count").value_or(1);
     const std::string baseId = args.option("id").value_or("req");
     std::vector<std::string> lines;
     for (std::uint64_t i = 0; i < count; ++i) {
-        JsonWriter w;
-        w.beginObject()
-            .key("schema").string(serve::kServeSchema)
-            .key("kind").string(kind)
-            .key("id").string(count == 1
-                              ? baseId
-                              : baseId + "-" + std::to_string(i));
-        for (const auto &[key, value] : strings)
-            w.key(key).string(value);
-        if (maxInstrs)
-            w.key("max_instrs").u64(*maxInstrs);
-        if (seed)
-            w.key("seed").u64(*seed);
-        lines.push_back(w.endObject().take());
+        req.id = count == 1 ? baseId : baseId + "-" + std::to_string(i);
+        lines.push_back(serve::writeRequest(req));
     }
     return lines;
 }
@@ -942,6 +808,8 @@ clientRequestLines(const CliArgs &args)
 int
 cmdClient(const CliArgs &args)
 {
+    // Every request is checked before anything is sent.
+    const std::vector<std::string> lines = clientRequestLines(args);
     serve::Client client;
     if (const auto s = args.option("socket"))
         client = serve::Client::connectUnix(*s);
@@ -951,7 +819,6 @@ cmdClient(const CliArgs &args)
     else
         usage("client needs --socket PATH or --port N");
 
-    const std::vector<std::string> lines = clientRequestLines(args);
     for (const std::string &line : lines)
         client.sendLine(line);
 
@@ -1005,41 +872,41 @@ struct Command
 
 /**
  * The subcommand table. The lists name every option its command
- * reads (the target options seed, input and input-file come from
- * resolveTarget); main parses the command line with that command's
- * value-taking options and rejects anything else before it runs.
+ * reads (the intake options come from the intake parser's list);
+ * main parses the command line with that command's value-taking
+ * options and rejects anything else before it runs.
  */
 const std::vector<Command> &
 commands()
 {
+    constexpr IntakeForm program = IntakeForm::Program;
     static const std::vector<Command> table = {
         {"asm", cmdAsm, {}, {}},
         {"disasm", cmdDisasm, {}, {}},
-        {"run", cmdRun, {"seed", "input", "input-file", "max"},
-         {"trace"}},
+        {"run", cmdRun, intakeOptions(program, {"max"}), {"trace"}},
         {"analyze", cmdAnalyze,
-         {"seed", "input", "input-file", "max", "predictor", "report"},
+         intakeOptions(program, {"max", "predictor", "report"}),
          {"all-predictors"}},
         {"graph", cmdGraph,
-         {"seed", "input", "input-file", "window", "predictor"}, {}},
+         intakeOptions(program, {"window", "predictor"}), {}},
         {"workloads", [](const CliArgs &) { return cmdWorkloads(); },
          {}, {}},
-        {"metrics", cmdMetrics,
-         {"seed", "input", "input-file", "max", "predictor"},
+        {"metrics", cmdMetrics, intakeOptions(program, {"max", "predictor"}),
          {"json"}},
         {"fuzz", cmdFuzz, {"families", "seeds", "out"},
          {"list", "slice", "no-verify"}},
         {"import", cmdImport, {"out"}, {"verify"}},
         {"converge", cmdConverge,
-         {"seed", "input", "input-file", "budgets", "interval",
-          "warmup", "phases", "threshold", "predictor", "csv", "out"},
+         intakeOptions(program, {"budgets", "interval", "warmup", "phases",
+                                 "threshold", "predictor", "csv", "out"}),
          {}},
         {"serve", cmdServe,
          {"socket", "port", "max-inflight", "max", "cap", "retain-mb"},
          {}},
         {"client", cmdClient,
-         {"socket", "port", "json", "workload", "family", "trace-file",
-          "predictor", "max", "seed", "count", "id"},
+         intakeOptions(IntakeForm::Request,
+                       {"socket", "port", "json", "predictor", "max",
+                        "count", "id"}),
          {"ping", "stats", "shutdown"}},
         {"version", [](const CliArgs &) { return cmdVersion(); }, {},
          {}},

@@ -3,8 +3,9 @@
 # concurrent clients with a mixed diet (identical workload cells,
 # fuzz-family programs, an imported branch trace), require every
 # request to succeed and the cache hit-rate metric to be positive,
-# then check a clean SIGTERM drain. Shared by the serve_smoke ctest
-# and the CI serve-smoke job:
+# check that served traces (the sample and its .gz beside it) match
+# `ppm import` byte for byte, then check a clean SIGTERM drain.
+# Shared by the serve_smoke ctest and the CI serve-smoke job:
 #
 #   tools/serve_smoke.sh <path-to-ppm> <path-to-sample-trace>
 set -euo pipefail
@@ -66,6 +67,22 @@ for args in "converge m88ksim --budgets 2e5 --threshold 1abc" \
 done
 grep -q -- "option --port wants" "$WORKDIR/err" \
     || fail "a bad number must name its option"
+# One intake, checked before any work: a second intake, a seed or an
+# input the intake does not read, or an intake on a request that reads
+# none exits 2 naming both options (ARGS|FIRST|SECOND).
+for case in "run compress --input abc --max 10|--input|compress" \
+            "analyze compress --input-file /nonexistent --max 1000|--input-file|compress" \
+            "run $WORKDIR/t.s --seed 5|--seed|$WORKDIR/t.s" \
+            "run $WORKDIR/t.s --input 1,2 --input-file /nonexistent|--input |--input-file" \
+            "client --socket $SOCK --workload gcc --trace-file $TRACE|--workload|--trace-file" \
+            "client --socket $SOCK --ping --workload gcc --seed 3|--ping|--workload"; do
+    IFS='|' read -r args first second <<< "$case"
+    # shellcheck disable=SC2086 # word splitting is the point here
+    "$PPM" $args >/dev/null 2>"$WORKDIR/err"
+    [ $? -eq 2 ] || fail "ppm $args must exit 2"
+    grep -q -- "$first" "$WORKDIR/err" && grep -q -- "$second" "$WORKDIR/err" \
+        || fail "ppm $args must name $first and $second"
+done
 "$PPM" run "$WORKDIR/t.s" --input -5,0x10 >/dev/null \
     || fail "signed and hex --input values must be accepted"
 set -e
@@ -126,6 +143,18 @@ done
 BAD=$(grep -L '"status":"ok"' "$WORKDIR"/wl-*.out \
       "$WORKDIR"/fam-*.out "$WORKDIR"/tr-*.out || true)
 [ -z "$BAD" ] || fail "non-ok response in: $BAD"
+
+# --- served traces equal `ppm import`, plain or gzip'd ---------------
+# The served "fingerprint" member embeds import's document verbatim.
+for t in "$TRACE" "$TRACE.gz"; do
+    "$PPM" import "$t" > "$WORKDIR/import.fp" 2>/dev/null \
+        || fail "ppm import $t must exit 0"
+    "$PPM" client --socket "$SOCK" --trace-file "$t" \
+        > "$WORKDIR/served.out" || fail "client --trace-file $t must exit 0"
+    grep -qF "\"fingerprint\":$(cat "$WORKDIR/import.fp")," \
+        "$WORKDIR/served.out" \
+        || fail "served fingerprint of $t differs from ppm import's"
+done
 
 # --- --count exit-code aggregation -----------------------------------
 # A --count batch exits 0 only when every response is ok; any failing
